@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .rng import SplitMix64
+from .rng import SplitMix64, map_ranges
 
 __all__ = [
     "triangular",
@@ -232,8 +232,7 @@ class CylinderEstimate:
     seed: int
 
 
-def _count_hits(args: tuple) -> int:
-    sampler, word, seed, lo, hi = args
+def _count_hits(sampler: Sampler, word: str, seed: int, lo: int, hi: int) -> int:
     n = len(word)
     hits = 0
     for i in range(lo, hi):
@@ -257,20 +256,7 @@ def estimate_cylinder(
         raise ValueError(
             f"word of length {len(word)} exceeds sampler capacity {sampler.capacity}"
         )
-    if jobs <= 1 or samples <= 1:
-        hits = _count_hits((sampler, word, seed, 0, samples))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [samples * w // jobs for w in range(jobs + 1)]
-        chunks = [
-            (sampler, word, seed, bounds[w], bounds[w + 1])
-            for w in range(jobs)
-            if bounds[w] < bounds[w + 1]
-        ]
-        hits = 0
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            hits = sum(pool.map(_count_hits, chunks))
+    hits = sum(map_ranges(_count_hits, samples, jobs, sampler, word, seed))
     est = hits / samples
     return CylinderEstimate(
         word=word,

@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from importlib import import_module
 
 from . import block_sampler, interval_swap, measures, rules
-from .rng import derive_seed
+from .rng import derive_seed, map_ranges
 
 # the package re-exports a function named `correlation`, shadowing the
 # submodule attribute; fetch the module itself
 correlation = import_module("cafreq.correlation")
-
-CHECKS = ("one_domination", "high_domination", "prefix_sums", "conservation", "averages")
 
 
 def _default_jobs() -> int:
@@ -61,12 +60,11 @@ def _write_csv(path: Optional[str], header: Sequence[str], rows: Iterable[Sequen
             writer.writerow(row)
 
 
-def _proper_subsets(q: int) -> list[frozenset[int]]:
-    return [
-        frozenset(c)
-        for size in range(1, q)
-        for c in itertools.combinations(range(q), size)
-    ]
+def _read_descriptors(path: str) -> list[str]:
+    """Rule descriptors of a file: one per line, blank and `#` lines skipped."""
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _set_label(symbols: frozenset[int]) -> str:
@@ -83,7 +81,7 @@ def _cmd_rule_info(args) -> int:
     print(f"alphabet size: {rule.q}  radius: {rule.r}")
     print(f"balanced: {rules.is_balanced(rule)}")
     print(f"surjective: {rules.is_surjective(rule)}")
-    for A in _proper_subsets(rule.q):
+    for A in correlation.proper_subsets(rule.q):
         h = correlation.histogram(rule, A, A)
         c1 = h.moment(1)
         norm = correlation.normalized_correlation(rule, A, A)
@@ -98,10 +96,7 @@ def _cmd_rule_info(args) -> int:
 def _cmd_rule_surjective(args) -> int:
     descriptors = list(args.rules)
     if args.file:
-        with open(args.file) as fh:
-            descriptors.extend(
-                line.strip() for line in fh if line.strip() and not line.startswith("#")
-            )
+        descriptors.extend(_read_descriptors(args.file))
     if not descriptors:
         print("no rules given", file=sys.stderr)
         return 2
@@ -146,164 +141,138 @@ def _cmd_correlate(args) -> int:
 # sweeps
 
 
-def _surjective_index_range(args: tuple[int, int, int, int]) -> list[int]:
-    q, r, lo, hi = args
+SweepRows = Iterator[tuple[bool, tuple]]
+
+#: per-rule sweep checks: name -> (CSV columns after rule,q,r; rows_fn), where
+#: rows_fn(rule, args) yields (ok, row) and each row that is not ok counts as
+#: a violation
+SWEEP_CHECKS: dict[str, tuple[tuple[str, ...], Callable]] = {}
+
+
+def _sweep_check(name: str, *columns: str):
+    def register(rows_fn):
+        SWEEP_CHECKS[name] = (columns, rows_fn)
+        return rows_fn
+
+    return register
+
+
+@_sweep_check("one_domination", "A", "B", "C_raw", "C_identity", "margin", "holds")
+def _one_domination_rows(rule: rules.LocalRule, args) -> SweepRows:
+    for A in correlation.proper_subsets(rule.q):
+        c1 = correlation.correlation(rule, A, A)
+        ident = correlation.identity_correlation(rule.q, len(A), rule.r)
+        holds = c1 <= ident
+        yield holds, (_set_label(A), _set_label(A), c1, ident, ident - c1, holds)
+
+
+@_sweep_check("high_domination", "A", "k0", "strict_at_k0", "m_star")
+def _high_domination_rows(rule: rules.LocalRule, args) -> SweepRows:
+    for A in correlation.proper_subsets(rule.q):
+        rep = correlation.check_high_domination(rule, A, m_max=args.m_max)
+        yield rep.m_star is not None, (
+            _set_label(A),
+            rep.k0 if rep.k0 is not None else "",
+            rep.strict_at_k0 if rep.strict_at_k0 is not None else "",
+            rep.m_star if rep.m_star is not None else "",
+        )
+
+
+@_sweep_check("prefix_sums", "holds", "witness_n")
+def _prefix_sums_rows(rule: rules.LocalRule, args) -> SweepRows:
+    rep = correlation.check_prefix_sum_conjecture(rule)
+    yield rep.holds, (rep.holds, rep.witness_n if rep.witness_n is not None else "")
+
+
+@_sweep_check(
+    "conservation",
+    "A",
+    "conserves_by_histogram",
+    "conserves_by_periodic_search",
+    "agree",
+    "witness_config",
+    "witness_image",
+)
+def _conservation_rows(rule: rules.LocalRule, args) -> SweepRows:
+    for A in correlation.proper_subsets(rule.q):
+        by_histogram = correlation.histogram_matches_identity(rule, A)
+        witness = correlation.find_conservation_violation(rule, A, args.max_period)
+        agree = by_histogram == (witness is None)
+        yield agree, (
+            _set_label(A),
+            by_histogram,
+            witness is None,
+            agree,
+            witness[0] if witness else "",
+            witness[1] if witness else "",
+        )
+
+
+CHECKS = (*SWEEP_CHECKS, "averages")
+
+
+def _surjective_in_range(
+    q: int, r: int, limit: int, lo: int, hi: int
+) -> list[rules.LocalRule]:
     return [
-        i for i in range(lo, hi) if rules.is_surjective(rules.rule_from_index(q, r, i))
+        rule
+        for rule in islice(rules.enumerate_rules(q, r, limit=limit), lo, hi)
+        if rules.is_surjective(rule)
     ]
 
 
-def _sweep_rules(q: int, r: int, limit: int, jobs: int = 1) -> list[rules.LocalRule]:
-    """All surjective radius-r rules in table order, optionally in parallel."""
+def _surjective_rules(q: int, r: int, limit: int, jobs: int) -> list[rules.LocalRule]:
+    """All surjective radius-r rules in table order, filtered on `jobs` workers."""
     total = rules.rule_count(q, r)
     if total > limit:
         raise ValueError(f"rule space of size {total} exceeds limit {limit}")
-    if jobs <= 1:
-        return [
-            rule
-            for rule in rules.enumerate_rules(q, r, limit=limit)
-            if rules.is_surjective(rule)
-        ]
-    from concurrent.futures import ProcessPoolExecutor
+    parts = map_ranges(_surjective_in_range, total, jobs, q, r, limit)
+    return [rule for part in parts for rule in part]
 
-    bounds = [total * w // jobs for w in range(jobs + 1)]
-    chunks = [
-        (q, r, bounds[w], bounds[w + 1])
-        for w in range(jobs)
-        if bounds[w] < bounds[w + 1]
-    ]
-    indices: list[int] = []
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part in pool.map(_surjective_index_range, chunks):
-            indices.extend(part)
-    return [rules.rule_from_index(q, r, i) for i in indices]
+
+def _sweep_averages(args) -> int:
+    q = args.q
+    A = correlation.parse_symbols(args.A, q)
+    B = correlation.parse_symbols(args.B or args.A, q)
+    expected = Fraction(len(A) * len(B), q)
+    rows = []
+    for r in range(args.r + 1):
+        avg = correlation.average_normalized_correlation(q, r, A, B, limit=args.limit)
+        equal = avg == expected
+        rows.append(
+            (q, r, _set_label(A), _set_label(B), _fmt_frac(avg), _fmt_frac(expected), equal)
+        )
+        print(f"q={q} r={r}: average={avg} expected={expected} equal={equal}")
+    _write_csv(args.out, ["q", "r", "A", "B", "average", "expected", "equal"], rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _cmd_sweep(args) -> int:
-    q = args.q
-    radii = list(range(args.r + 1))
-    violations = 0
-    rows: list[Sequence] = []
-    header: list[str]
-    counts = {}
     if args.check == "averages":
-        header = ["q", "r", "A", "B", "average", "expected", "equal"]
-        failed = False
-        for r in radii:
-            for label_a, label_b in ((args.A, args.B if args.B else args.A),):
-                A = correlation.parse_symbols(label_a, q)
-                B = correlation.parse_symbols(label_b, q)
-                avg = correlation.average_normalized_correlation(
-                    q, r, A, B, limit=args.limit
-                )
-                expected = Fraction(len(A) * len(B), q)
-                equal = avg == expected
-                failed |= not equal
-                rows.append(
-                    (q, r, _set_label(A), _set_label(B), _fmt_frac(avg), _fmt_frac(expected), equal)
-                )
-                print(f"q={q} r={r}: average={avg} expected={expected} equal={equal}")
-        _write_csv(args.out, header, rows)
-        return 1 if failed else 0
-
+        return _sweep_averages(args)
+    columns, rows_fn = SWEEP_CHECKS[args.check]
     if args.rules_file:
-        with open(args.rules_file) as fh:
-            swept = [
-                rules.parse_rule(line.strip())
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            ]
-        groups = [(rule.r, [rule]) for rule in swept]
-        for r, _ in groups:
-            counts[r] = counts.get(r, 0) + 1
-        radii = sorted(counts)
+        swept = [rules.parse_rule(text) for text in _read_descriptors(args.rules_file)]
+        kind = "rules from file"
     else:
-        groups = []
-        for r in radii:
-            surjective = _sweep_rules(q, r, args.limit, jobs=args.jobs)
-            counts[r] = len(surjective)
-            groups.append((r, surjective))
-
-    for r, group in groups:
-        for rule in group:
-            text = rule.format()
-            rq = rule.q
-            if args.check == "one_domination":
-                for A in _proper_subsets(rq):
-                    c1 = correlation.correlation(rule, A, A)
-                    ident = correlation.identity_correlation(rq, len(A), r)
-                    holds = c1 <= ident
-                    violations += not holds
-                    rows.append(
-                        (text, rq, r, _set_label(A), _set_label(A), c1, ident, ident - c1, holds)
-                    )
-            elif args.check == "high_domination":
-                for A in _proper_subsets(rq):
-                    rep = correlation.check_high_domination(rule, A, m_max=args.m_max)
-                    found = rep.m_star is not None
-                    violations += not found
-                    rows.append(
-                        (
-                            text,
-                            rq,
-                            r,
-                            _set_label(A),
-                            rep.k0 if rep.k0 is not None else "",
-                            rep.strict_at_k0 if rep.strict_at_k0 is not None else "",
-                            rep.m_star if rep.m_star is not None else "",
-                        )
-                    )
-            elif args.check == "prefix_sums":
-                rep = correlation.check_prefix_sum_conjecture(rule)
-                violations += not rep.holds
-                rows.append(
-                    (text, rq, r, rep.holds, rep.witness_n if rep.witness_n is not None else "")
-                )
-            elif args.check == "conservation":
-                for A in _proper_subsets(rq):
-                    by_histogram = correlation.histogram_matches_identity(rule, A)
-                    witness = correlation.find_conservation_violation(
-                        rule, A, args.max_period
-                    )
-                    agree = by_histogram == (witness is None)
-                    violations += not agree
-                    rows.append(
-                        (
-                            text,
-                            rq,
-                            r,
-                            _set_label(A),
-                            by_histogram,
-                            witness is None,
-                            agree,
-                            witness[0] if witness else "",
-                            witness[1] if witness else "",
-                        )
-                    )
-
-    if args.check == "one_domination":
-        header = ["rule", "q", "r", "A", "B", "C_raw", "C_identity", "margin", "holds"]
-    elif args.check == "high_domination":
-        header = ["rule", "q", "r", "A", "k0", "strict_at_k0", "m_star"]
-    elif args.check == "prefix_sums":
-        header = ["rule", "q", "r", "holds", "witness_n"]
-    else:
-        header = [
-            "rule",
-            "q",
-            "r",
-            "A",
-            "conserves_by_histogram",
-            "conserves_by_periodic_search",
-            "agree",
-            "witness_config",
-            "witness_image",
+        swept = [
+            rule
+            for r in range(args.r + 1)
+            for rule in _surjective_rules(args.q, r, args.limit, args.jobs)
         ]
-    _write_csv(args.out, header, rows)
-    total = sum(counts.values())
+        kind = "surjective rules"
+    violations = 0
+    rows = []
+    for rule in swept:
+        prefix = (rule.format(), rule.q, rule.r)
+        for ok, row in rows_fn(rule, args):
+            violations += not ok
+            rows.append(prefix + row)
+    _write_csv(args.out, ["rule", "q", "r", *columns], rows)
+    counts = Counter(rule.r for rule in swept)
+    radii = sorted(counts) if args.rules_file else range(args.r + 1)
     per_radius = ", ".join(f"r={r}: {counts[r]}" for r in radii)
-    kind = "rules from file" if args.rules_file else "surjective rules"
-    print(f"{violations} violations / {total} {kind} ({per_radius})")
+    print(f"{violations} violations / {len(swept)} {kind} ({per_radius})")
     return 1 if violations else 0
 
 

@@ -39,6 +39,15 @@ def normalize_symbols(symbols: SymbolsLike, q: int) -> frozenset[int]:
     return out
 
 
+def proper_subsets(q: int) -> list[frozenset[int]]:
+    """Every nonempty proper symbol set, by size, then lexicographically."""
+    return [
+        frozenset(c)
+        for size in range(1, q)
+        for c in itertools.combinations(range(q), size)
+    ]
+
+
 def parse_symbols(text: str, q: int) -> frozenset[int]:
     """Parse a symbol set like "02" or "{0,2}"."""
     cleaned = text.strip().strip("{}").replace(",", "").replace(" ", "")
@@ -191,11 +200,9 @@ def finite_correlation(
     qr = q**r
     table = rule.table
     total = 0
-    width = n + r
-    # iterate words as digit vectors via odometer to avoid re-decoding
-    syms = [0] * width
     in_a = [s in Aset for s in range(q)]
-    while True:
+    # iterate words as digit vectors to avoid re-decoding
+    for syms in itertools.product(range(q), repeat=n + r):
         wa = sum(1 for s in syms if in_a[s])
         if wa:
             idx = 0
@@ -208,13 +215,7 @@ def finite_correlation(
                     fa += 1
                 idx %= qr
             total += wa * fa
-        pos = width - 1
-        while pos >= 0 and syms[pos] == q - 1:
-            syms[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return total
-        syms[pos] += 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -235,14 +236,7 @@ def check_one_domination(
     expected to dominate; non-surjective inputs are allowed but flagged.
     """
     q, r = rule.q, rule.r
-    if A is not None:
-        sets = [normalize_symbols(A, q)]
-    else:
-        sets = [
-            frozenset(c)
-            for size in range(1, q)
-            for c in itertools.combinations(range(q), size)
-        ]
+    sets = [normalize_symbols(A, q)] if A is not None else proper_subsets(q)
     margin: Optional[int] = None
     worst = sets[0]
     for s in sets:
@@ -395,21 +389,13 @@ def find_conservation_violation(
     Aset = normalize_symbols(A, q)
     a_digits = {DIGITS[s] for s in Aset}
     for p in range(1, max_period + 1):
-        syms = [0] * p
-        while True:
+        for syms in itertools.product(range(q), repeat=p):
             before = sum(1 for s in syms if s in Aset)
             config = symbols_word(syms)
             image = apply_periodic(rule, config)
             after = sum(1 for ch in image if ch in a_digits)
             if before != after:
                 return config, image
-            pos = p - 1
-            while pos >= 0 and syms[pos] == q - 1:
-                syms[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            syms[pos] += 1
     return None
 
 

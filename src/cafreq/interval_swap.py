@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .rng import SplitMix64, bernoulli_word
+from .rng import SplitMix64, bernoulli_word, map_ranges
 
 __all__ = [
     "SwapParams",
@@ -685,8 +685,9 @@ def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTr
     )
 
 
-def _trial_range(args: tuple) -> list[SwapTrial]:
-    params, seed, length, lo, hi = args
+def _trial_range(
+    params: SwapParams, seed: int, length: int, lo: int, hi: int
+) -> list[SwapTrial]:
     return [_run_trial(i, params, seed, length) for i in range(lo, hi)]
 
 
@@ -711,18 +712,5 @@ def run_swap_trials(
         window_length = 3 * params.medium_bound
     if not report.vacuous:
         _params_engine(params).ensure(report.max_free_length)
-    if jobs <= 1 or count <= 1:
-        return _trial_range((params, seed, window_length, 0, count))
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [count * w // jobs for w in range(jobs + 1)]
-    chunks = [
-        (params, seed, window_length, bounds[w], bounds[w + 1])
-        for w in range(jobs)
-        if bounds[w] < bounds[w + 1]
-    ]
-    out: list[SwapTrial] = []
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for rows in pool.map(_trial_range, chunks):
-            out.extend(rows)
-    return out
+    parts = map_ranges(_trial_range, count, jobs, params, seed, window_length)
+    return [trial for part in parts for trial in part]

@@ -85,21 +85,11 @@ class ProductMeasure(CylinderMeasure):
         return cls(q, tuple(inside if s in Aset else outside for s in range(q)))
 
 
-@dataclass(frozen=True)
-class DiracMeasure(CylinderMeasure):
+def DiracMeasure(q: int, symbol: int) -> ProductMeasure:
     """Unit mass on the constant configuration of one symbol."""
-
-    q: int
-    symbol: int
-
-    def __post_init__(self):
-        if not 0 <= self.symbol < self.q:
-            raise ValueError("symbol out of range")
-
-    def cylinder(self, word: str) -> Fraction:
-        word_symbols(word, self.q)
-        ch = DIGITS[self.symbol]
-        return Fraction(1) if all(c == ch for c in word) else Fraction(0)
+    if not 0 <= symbol < q:
+        raise ValueError("symbol out of range")
+    return ProductMeasure(q, tuple(Fraction(int(s == symbol)) for s in range(q)))
 
 
 class ExplicitMeasure(CylinderMeasure):

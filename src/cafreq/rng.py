@@ -3,12 +3,15 @@
 Everything here is built on the splitmix64 counter sequence: state steps by a
 fixed odd constant and each output is a finalizer hash of the state.  Streams
 are therefore pure functions of (seed, counter), which makes them cheap to
-split per sample or per worker without any coordination.
+split per sample or per worker without any coordination.  `map_ranges` is
+the one place that does that split across processes.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +81,26 @@ class SplitMix64:
         if p >= 1:
             return True
         return self.below(p.denominator) < p.numerator
+
+
+def map_ranges(fn: Callable, count: int, jobs: int, *args) -> list:
+    """[fn(*args, lo, hi), ...] for consecutive ranges covering [0, count).
+
+    Results come back in index order.  The ranges are spread over
+    min(jobs, count, CPU count) worker processes; with one worker this is
+    exactly [fn(*args, 0, count)], run in-process.  When fn's work for index
+    i depends only on i (as with `SplitMix64.for_index`), the concatenated
+    results do not depend on `jobs`.  Parallel runs pickle fn and args.
+    """
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*args, 0, count)]
+    from concurrent import futures
+
+    bounds = [count * w // workers for w in range(workers + 1)]
+    columns = [[arg] * workers for arg in args]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *columns, bounds[:-1], bounds[1:]))
 
 
 def bernoulli_word(rng: SplitMix64, length: int, p: Fraction) -> str:

@@ -399,4 +399,9 @@ def test_acceptance_14_csv_determinism(tmp_path):
     g = run("mix1.csv", mix_args + ["--jobs", "1"])
     h = run("mix2.csv", mix_args + ["--jobs", "3"])
     assert g == h and g
-    report(14, "byte-identical CSV across reruns and job counts for all three commands")
+
+    sweep_args = ["sweep", "--q", "2", "--r", "3", "--check", "one_domination"]
+    i = run("sweep1.csv", sweep_args + ["--jobs", "1"])
+    j = run("sweep2.csv", sweep_args + ["--jobs", "2"])
+    assert i == j and i
+    report(14, "byte-identical CSV across reruns and job counts for all four commands")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -98,6 +99,48 @@ class TestSweep:
 
     def test_conservation_small(self, capsys):
         assert main(["sweep", "--q", "2", "--r", "1", "--check", "conservation"]) == 0
+
+    # SHA-256 of (CSV bytes, stdout) for each check, recorded before the sweep
+    # checks became a registry; any change to a header, row or summary line
+    # shows up here
+    SURJECTIVE_SUMMARY = "832c472878440dea9087c27cce14fa4d55f0b6472c02722bfdbc108e9313e24c"
+    DIGESTS = {
+        "one_domination": (
+            ["--q", "2", "--r", "2"],
+            "f0ce4ff0cf1e303d80a0e8538d6a522ddd5096be546aea457855e432e6b06de7",
+            SURJECTIVE_SUMMARY,
+        ),
+        "high_domination": (
+            ["--q", "2", "--r", "2"],
+            "3c9bf9ee983a055e3bb9046cbf35b4c017a98393b1deadc4cd2cb5bef3450dcb",
+            SURJECTIVE_SUMMARY,
+        ),
+        "prefix_sums": (
+            ["--q", "2", "--r", "2"],
+            "970deb04ec519458e5b17076042e50ab1ec703e33b676e3e2ea0bfdf52fdd412",
+            SURJECTIVE_SUMMARY,
+        ),
+        "conservation": (
+            ["--q", "2", "--r", "2"],
+            "c826bdeec723175d1ad9298441ea6367c2308762ec75d7ba2cf980e5484eec03",
+            SURJECTIVE_SUMMARY,
+        ),
+        "averages": (
+            ["--q", "3", "--r", "0", "--A", "0", "--B", "02"],
+            "ee8a68b24da982aee04df5dff538da9bd76804c36b099a2a9da96e3232fb3dae",
+            "d7e39926e867f78f7e66a2ac18ee30ebfc18371757efca2c663f5a8fa2c9d9f7",
+        ),
+    }
+
+    @pytest.mark.parametrize("check", sorted(DIGESTS))
+    def test_output_digests(self, check, capsys, tmp_path):
+        flags, csv_digest, stdout_digest = self.DIGESTS[check]
+        out_path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--check", check, *flags, "--out", str(out_path)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
 
 class TestMeasureCommands:
@@ -205,6 +248,16 @@ class TestConstructionCommands:
     def test_sweep_rules_file(self, capsys, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("2 1 0110\n2 1 0101\n")
+        code = main(
+            ["sweep", "--q", "2", "--r", "1", "--check", "prefix_sums",
+             "--rules-file", str(path)]
+        )
+        assert code == 0
+        assert "2 rules from file" in capsys.readouterr().out
+
+    def test_sweep_rules_file_indented_comment(self, capsys, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("  # two XOR-like rules\n2 1 0110\n\t# note\n2 1 0101\n")
         code = main(
             ["sweep", "--q", "2", "--r", "1", "--check", "prefix_sums",
              "--rules-file", str(path)]

@@ -59,6 +59,12 @@ class TestMeasureConstruction:
         assert mu.cylinder("000") == 1
         assert mu.cylinder("010") == 0
 
+    def test_dirac_is_one_hot_product(self):
+        assert DiracMeasure(3, 2) == ProductMeasure(3, (Fraction(0), Fraction(0), Fraction(1)))
+        assert make_measure({"kind": "dirac", "q": 3, "symbol": 2}).cylinder("22") == 1
+        with pytest.raises(ValueError):
+            DiracMeasure(2, 2)
+
     def test_explicit_consistent(self):
         table = {
             "": Fraction(1),

@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cafreq.rng import GOLDEN, MASK64, SplitMix64, bernoulli_word, derive_seed, mix64
+import cafreq
+from cafreq.rng import (
+    GOLDEN,
+    MASK64,
+    SplitMix64,
+    bernoulli_word,
+    derive_seed,
+    map_ranges,
+    mix64,
+)
 
 
 class TestStream:
@@ -80,6 +93,33 @@ class TestBernoulliWord:
     def test_empty(self):
         rng = SplitMix64(8)
         assert bernoulli_word(rng, 0, Fraction(1, 2)) == ""
+
+
+class TestMapRanges:
+    def test_one_job_is_one_in_process_call(self):
+        # a lambda cannot be pickled, so this also shows no pool is used
+        assert map_ranges(lambda tag, lo, hi: (tag, lo, hi), 10, 1, "x") == [("x", 0, 10)]
+
+    def test_empty_range(self):
+        assert map_ranges(range, 0, 4) == [range(0, 0)]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert map_ranges(lambda lo, hi: (lo, hi), 10, 8) == [(0, 10)]
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert map_ranges(range, 10, 64) == [range(0, 5), range(5, 10)]
+
+    def test_serial_run_does_not_import_the_pool(self):
+        code = (
+            "import sys; from cafreq import cli; "
+            "cli.main(['sweep', '--q', '2', '--r', '1', '--check', 'prefix_sums', '--jobs', '1']); "
+            "assert 'concurrent.futures' not in sys.modules"
+        )
+        src = str(Path(cafreq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
 
 @given(st.integers(0, MASK64))
