@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from importlib import import_module
 
 from . import block_sampler, interval_swap, measures, rules
-from .rng import derive_seed, map_ranges
+from .rng import derive_seed
 
 # the package re-exports a function named `correlation`, shadowing the
 # submodule attribute; fetch the module itself
@@ -77,11 +77,12 @@ def _set_label(symbols: frozenset[int]) -> str:
 
 def _cmd_rule_info(args) -> int:
     rule = rules.parse_rule(args.rule)
+    subsets = correlation.proper_subsets(rule.q)  # refuses large q before output
     print(f"rule: {rule.format()}")
     print(f"alphabet size: {rule.q}  radius: {rule.r}")
     print(f"balanced: {rules.is_balanced(rule)}")
     print(f"surjective: {rules.is_surjective(rule)}")
-    for A in correlation.proper_subsets(rule.q):
+    for A in subsets:
         h = correlation.histogram(rule, A, A)
         c1 = h.moment(1)
         norm = correlation.normalized_correlation(rule, A, A)
@@ -211,25 +212,6 @@ def _conservation_rows(rule: rules.LocalRule, args) -> SweepRows:
 CHECKS = (*SWEEP_CHECKS, "averages")
 
 
-def _surjective_in_range(
-    q: int, r: int, limit: int, lo: int, hi: int
-) -> list[rules.LocalRule]:
-    return [
-        rule
-        for rule in islice(rules.enumerate_rules(q, r, limit=limit), lo, hi)
-        if rules.is_surjective(rule)
-    ]
-
-
-def _surjective_rules(q: int, r: int, limit: int, jobs: int) -> list[rules.LocalRule]:
-    """All surjective radius-r rules in table order, filtered on `jobs` workers."""
-    total = rules.rule_count(q, r)
-    if total > limit:
-        raise ValueError(f"rule space of size {total} exceeds limit {limit}")
-    parts = map_ranges(_surjective_in_range, total, jobs, q, r, limit)
-    return [rule for part in parts for rule in part]
-
-
 def _sweep_averages(args) -> int:
     q = args.q
     A = correlation.parse_symbols(args.A, q)
@@ -258,7 +240,7 @@ def _cmd_sweep(args) -> int:
         swept = [
             rule
             for r in range(args.r + 1)
-            for rule in _surjective_rules(args.q, r, args.limit, args.jobs)
+            for rule in rules.surjective_rules(args.q, r, args.limit, args.jobs)
         ]
         kind = "surjective rules"
     violations = 0
@@ -340,24 +322,9 @@ def _cmd_fn_apply(args) -> int:
         window_length=args.window_length,
         jobs=args.jobs,
     )
-    rows = [
-        (
-            t.index,
-            t.occurrences,
-            t.complete,
-            t.medium,
-            t.to_dense,
-            t.to_sparse,
-            t.involution_ok,
-            t.occurrences_conserved,
-            t.quad_free,
-            t.max_dense_run,
-        )
-        for t in trials
-    ]
     _write_csv(
         args.out,
-        [
+        [  # one column per SwapTrial field, in field order
             "index",
             "occurrences",
             "complete_intervals",
@@ -369,7 +336,7 @@ def _cmd_fn_apply(args) -> int:
             "quad_free",
             "max_dense_run",
         ],
-        rows,
+        [dataclasses.astuple(t) for t in trials],
     )
     bad = sum(
         not (t.involution_ok and t.occurrences_conserved and t.quad_free)

@@ -39,8 +39,14 @@ def normalize_symbols(symbols: SymbolsLike, q: int) -> frozenset[int]:
     return out
 
 
+#: scans over every proper symbol set (2^q - 2 of them) refuse larger q
+MAX_SUBSET_ALPHABET = 16
+
+
 def proper_subsets(q: int) -> list[frozenset[int]]:
     """Every nonempty proper symbol set, by size, then lexicographically."""
+    if q > MAX_SUBSET_ALPHABET:
+        raise ValueError(f"2^{q} - 2 proper symbol sets exceeds 2^{MAX_SUBSET_ALPHABET} - 2")
     return [
         frozenset(c)
         for size in range(1, q)
@@ -168,9 +174,7 @@ def identity_correlation(q: int, a_size: int, r: int, m: int = 1) -> int:
         raise ValueError("closed form available for order 1 only")
     if not 0 <= a_size <= q:
         raise ValueError("symbol set size out of range")
-    value = Fraction((q + r * a_size) * a_size, 1) * Fraction(q) ** (r - 1)
-    assert value.denominator == 1
-    return int(value)
+    return (q + r * a_size) * a_size * q**r // q
 
 
 def weighted_square_sum(n: int, a) -> Fraction:

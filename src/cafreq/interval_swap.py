@@ -508,6 +508,10 @@ class SwapParamsReport:
     reasons: tuple[str, ...]
 
 
+#: refuse parameters whose sparse count table would hold more big-int cells
+MAX_SWAP_TABLE_CELLS = 1 << 23
+
+
 @lru_cache(maxsize=16)
 def check_swap_params(params: SwapParams) -> SwapParamsReport:
     """Check that the swap map is well defined for these parameters.
@@ -515,6 +519,8 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
     For every medium free-part length l this requires the sparse/dense
     weight separation 3*l*p/2 < 2*(l//4) (so the families are disjoint) and
     an injective encoding |sparse(l)| <= |safe dense(l)|, counted exactly.
+    Refuses, before building it, a count table of more than
+    MAX_SWAP_TABLE_CELLS cells: |marker| rows of min(j, cap) + 1 per length j.
     """
     mlen = len(params.marker)
     lo_l = max(params.short_bound - mlen, 0)
@@ -526,6 +532,13 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
             min_free_length=0,
             max_free_length=-1,
             reasons=("no medium intervals for these parameters",),
+        )
+    cap = max(weight_bounds(hi_l, params.p)[1], 0)
+    k = min(hi_l, cap)
+    cells = mlen * ((k + 1) * (k + 2) // 2 + (hi_l - k) * (cap + 1))
+    if cells > MAX_SWAP_TABLE_CELLS:
+        raise ValueError(
+            f"swap count table of {cells} cells exceeds limit {MAX_SWAP_TABLE_CELLS}"
         )
     engine = _params_engine(params)
     engine.ensure(hi_l)
@@ -610,22 +623,18 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
     return "".join(out), stats
 
 
-def apply_swap(window: str, params: SwapParams, validate: bool = True) -> str:
+def apply_swap(window: str, params: SwapParams) -> str:
     """Apply the interval swap map to a binary window.
 
     Incomplete intervals and non-medium intervals are untouched; the output
-    has the window's length.  With validate=True (the default) the
-    parameters are checked once (cached) and rejected if the map would not
-    be a well-defined involution.
+    has the window's length.  The parameters are checked once (cached) and
+    rejected if the map would not be a well-defined involution.
     """
     if any(c not in "01" for c in window):
         raise ValueError("window must be a binary word")
-    if validate:
-        report = check_swap_params(params)
-        if not report.valid:
-            raise ValueError(
-                "invalid swap parameters: " + "; ".join(report.reasons)
-            )
+    report = check_swap_params(params)
+    if not report.valid:
+        raise ValueError("invalid swap parameters: " + "; ".join(report.reasons))
     return _apply_swap_details(window, params)[0]
 
 
@@ -705,12 +714,10 @@ def run_swap_trials(
     conservation, and the absence of 1111 inside freshly coded free parts.
     Results are independent of the job count.
     """
-    report = check_swap_params(params)
+    report = check_swap_params(params)  # builds the table before workers fork
     if not report.valid:
         raise ValueError("invalid swap parameters: " + "; ".join(report.reasons))
     if window_length is None:
         window_length = 3 * params.medium_bound
-    if not report.vacuous:
-        _params_engine(params).ensure(report.max_free_length)
     parts = map_ranges(_trial_range, count, jobs, params, seed, window_length)
     return [trial for part in parts for trial in part]

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .rng import SplitMix64
+from .rng import SplitMix64, map_ranges
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(DIGITS)
@@ -26,8 +25,8 @@ MAX_ALPHABET = len(DIGITS)
 #: refuse to enumerate rule spaces larger than this (tables, not rules tested)
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
 
-#: subset construction is guaranteed cheap only while q^r stays tiny
-MAX_DE_BRUIJN_NODES = 16
+#: the surjectivity search keeps one byte per pair of de Bruijn words
+MAX_PAIR_VERTICES = 1 << 18
 
 
 def symbol_value(ch: str) -> int:
@@ -203,48 +202,47 @@ def _pairs_balanced(rule: LocalRule) -> bool:
 def is_surjective(rule: LocalRule) -> bool:
     """Decide surjectivity of the global map on bi-infinite configurations.
 
-    Subset construction over the de Bruijn transition system: vertices are
-    words of length r, and u reaches v under output symbol a when the
-    overlap word w (|w| = r+1, u = w[:-1], v = w[1:]) satisfies f(w) = a.
-    Starting from the full vertex set, the map is surjective iff the empty
-    set is unreachable, i.e. every finite word has at least one preimage.
+    In one dimension a rule is surjective iff it is pre-injective: no two
+    configurations that differ in finitely many cells share an image
+    (Hedlund 1969; Amoroso & Patt 1972).  The pair graph steps from a pair
+    (u, v) of de Bruijn words of length r to the last r symbols of (ub, vc)
+    when f(ub) = f(vc); such a pair of configurations is a path that leaves
+    the diagonal u = v with b != c and returns to it.  Pairs are stored
+    unordered, one byte each in a table of q^(2r) <= MAX_PAIR_VERTICES.
 
-    Surjectivity forces balance at every word length, so cheap balance
-    checks at lengths 1 and 2 reject most rules before the search.
+    Surjectivity forces balance at every word length, so the balance checks
+    at lengths 1 and 2 come first: they cost less than building the graph
+    and reject most rules of an enumerated rule space.
     """
     q, r = rule.q, rule.r
-    nodes = q**r
-    if nodes > MAX_DE_BRUIJN_NODES:
+    qr = q**r
+    if qr * qr > MAX_PAIR_VERTICES:
         raise ValueError(
-            f"q^r = {nodes} de Bruijn vertices exceeds the supported {MAX_DE_BRUIJN_NODES}"
+            f"q^(2r) = {qr * qr} pair-graph vertices exceeds the supported "
+            f"{MAX_PAIR_VERTICES}"
         )
-    if not is_balanced(rule):
+    if not (is_balanced(rule) and _pairs_balanced(rule)):
         return False
-    if not _pairs_balanced(rule):
-        return False
-    succ = [[0] * nodes for _ in range(q)]
-    for u in range(nodes):
-        for b in range(q):
-            w = u * q + b
-            succ[rule.table[w]][u] |= 1 << (w % nodes)
-    full = (1 << nodes) - 1
-    seen = {full}
-    stack = [full]
+    # succ[u][a]: the neighborhoods u+b (as table indices) with output a
+    succ = [[[] for _ in range(q)] for _ in range(qr)]
+    for w, a in enumerate(rule.table):
+        succ[w // q][a].append(w)
+    seen = bytearray(qr * qr)
+    stack = [u * qr + u for u in range(qr)]
     while stack:
-        state = stack.pop()
-        for a in range(q):
-            rows = succ[a]
-            target = 0
-            m = state
-            while m:
-                u = (m & -m).bit_length() - 1
-                target |= rows[u]
-                m &= m - 1
-            if target == 0:
-                return False
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
+        u, v = divmod(stack.pop(), qr)
+        for xs, ys in zip(succ[u], succ[v]):
+            for b in xs:
+                for c in ys:
+                    if b == c:
+                        continue  # the same step taken twice from the diagonal
+                    x, y = b % qr, c % qr
+                    if x == y:
+                        return False
+                    p = x * qr + y if x < y else y * qr + x
+                    if not seen[p]:
+                        seen[p] = 1
+                        stack.append(p)
     return True
 
 
@@ -305,32 +303,49 @@ def rule_index(rule: LocalRule) -> int:
     return index
 
 
-def enumerate_rules(
-    q: int,
-    r: int,
-    surjective_only: bool = False,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> Iterator[LocalRule]:
-    """Yield every radius-r rule table in lexicographic order.
-
-    Refuses rule spaces larger than `limit` tables.
-    """
+def _checked_rule_count(q: int, r: int, limit: int) -> int:
     count = rule_count(q, r)
     if count > limit:
         raise ValueError(
             f"rule space of size q^(q^(r+1)) = {count} exceeds limit {limit}"
         )
+    return count
+
+
+def enumerate_rules(
+    q: int, r: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> Iterator[LocalRule]:
+    """Yield every radius-r rule table in lexicographic order.
+
+    Refuses rule spaces larger than `limit` tables.
+    """
+    _checked_rule_count(q, r, limit)
     for table in itertools.product(range(q), repeat=q ** (r + 1)):
-        rule = LocalRule(q, r, table)
-        if surjective_only and not is_surjective(rule):
-            continue
-        yield rule
+        yield LocalRule(q, r, table)
 
 
-@lru_cache(maxsize=32)
-def surjective_rules(q: int, r: int) -> tuple[LocalRule, ...]:
-    """All surjective radius-r rules, cached for sweeps."""
-    return tuple(enumerate_rules(q, r, surjective_only=True))
+def _surjective_in_range(q: int, r: int, limit: int, lo: int, hi: int) -> list:
+    rules = itertools.islice(enumerate_rules(q, r, limit), lo, hi)
+    return [rule for rule in rules if is_surjective(rule)]
+
+
+_SURJECTIVE_RULES: dict[tuple[int, int], tuple[LocalRule, ...]] = {}
+
+
+def surjective_rules(
+    q: int, r: int, limit: int = DEFAULT_ENUMERATION_LIMIT, jobs: int = 1
+) -> tuple[LocalRule, ...]:
+    """All surjective radius-r rules in table order, cached on (q, r) for sweeps.
+
+    The filter runs on `jobs` workers (see `map_ranges`); the result does
+    not depend on `jobs`.  Refuses rule spaces larger than `limit` tables,
+    cached or not.
+    """
+    count = _checked_rule_count(q, r, limit)
+    if (q, r) not in _SURJECTIVE_RULES:
+        parts = map_ranges(_surjective_in_range, count, jobs, q, r, limit)
+        _SURJECTIVE_RULES[q, r] = tuple(rule for part in parts for rule in part)
+    return _SURJECTIVE_RULES[q, r]
 
 
 def random_rule(q: int, r: int, rng: SplitMix64) -> LocalRule:

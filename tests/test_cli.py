@@ -1,8 +1,15 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cafreq
+from cafreq import interval_swap
 from cafreq.cli import main
 from cafreq.rules import LocalRule
 
@@ -37,6 +44,30 @@ class TestRuleCommands:
         assert main(["rule", "surjective", "--file", str(path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_radius_five(self, capsys, tmp_path):
+        # x0 xor x5: 2^5 de Bruijn words, past the old subset-construction cap
+        text = "2 5 " + "".join(str((w >> 5) ^ (w & 1)) for w in range(64))
+        assert main(["rule", "info", text]) == 0
+        assert "surjective: True" in capsys.readouterr().out
+        assert main(["rule", "surjective", text]) == 0
+        assert capsys.readouterr().out == f"{text}\tTrue\n"
+        path = tmp_path / "rules.txt"
+        path.write_text(text + "\n")
+        out_path = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--r", "5", "--check", "prefix_sums", "--rules-file", str(path),
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[1] == f"{text},2,5,True,"
+
+    def test_rule_info_refuses_large_alphabet_before_output(self, capsys):
+        # q = 36 passes the surjectivity cap, but 2^36 - 2 symbol sets do not
+        assert main(["rule", "info", LocalRule.shift(36).format()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "proper symbol sets exceeds" in captured.err
 
     def test_bad_rule_is_usage_error(self, capsys):
         assert main(["rule", "info", "2 1 01"]) == 2
@@ -220,6 +251,14 @@ class TestConstructionCommands:
         out = capsys.readouterr().out
         assert "valid: True" in out and "vacuous: True" in out
 
+    def test_fn_check_oversize_table_exits_2(self, capsys):
+        # the count table would need 31.7M cells; refused before it is built
+        assert main(["fn", "check", "--n", "2", "--p", "1/100"]) == 2
+        assert "cells" in capsys.readouterr().err
+        params = interval_swap.SwapParams(2, Fraction(1, 100))
+        cap = interval_swap.weight_bounds(params.max_free_length, params.p)[1]
+        assert (params.marker, cap) not in interval_swap._ENGINES
+
     def test_fn_apply_small(self, capsys, tmp_path):
         out_path = tmp_path / "fn.csv"
         code = main(
@@ -309,3 +348,39 @@ class TestConstructionCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "n,t,alpha,samples,estimate,stderr,seed"
         assert len(lines) == 3
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+import sys
+
+from cafreq.cli import main
+
+RUNS = {
+    "sweep": ["sweep", "--q", "2", "--r", "3", "--check", "prefix_sums"],
+    "fn": ["fn", "apply", "--n", "2", "--p", "1/36", "--windows", "6",
+           "--window-length", "4000", "--seed", "3"],
+}
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    for name, argv in RUNS.items():
+        for jobs in ("1", "2"):
+            out = f"{sys.argv[1]}/{name}-{jobs}.csv"
+            assert main([*argv, "--jobs", jobs, "--out", out]) == 0
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+def test_spawned_workers_match_serial_run(tmp_path):
+    script = tmp_path / "spawn_runs.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = str(Path(cafreq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], env=env, check=True, capture_output=True
+    )
+    for name in ("sweep", "fn"):
+        serial = (tmp_path / f"{name}-1.csv").read_bytes()
+        assert serial.count(b"\n") > 1
+        assert (tmp_path / f"{name}-2.csv").read_bytes() == serial

@@ -26,6 +26,7 @@ from cafreq.correlation import (
     find_conservation_violation,
     histogram_matches_identity,
     parse_symbols,
+    proper_subsets,
 )
 from cafreq.rng import SplitMix64
 from cafreq.rules import random_rule
@@ -280,6 +281,11 @@ class TestOneDomination:
     def test_scan_all_subsets(self):
         rep = check_one_domination(parse_rule("2 1 1111"))
         assert not rep.holds and rep.worst_A == frozenset({1})
+
+    def test_subset_scan_alphabet_bound(self):
+        assert len(proper_subsets(16)) == (1 << 16) - 2
+        with pytest.raises(ValueError, match="proper symbol sets exceeds"):
+            check_one_domination(LocalRule.shift(17))
 
 
 class TestHighDomination:

@@ -25,7 +25,8 @@ from cafreq.interval_swap import (
     unrank_sparse,
     weight_bounds,
 )
-from cafreq.interval_swap import _apply_swap_details
+from cafreq import interval_swap
+from cafreq.interval_swap import _apply_swap_details, _params_engine
 from cafreq.rng import SplitMix64
 
 CANON = SwapParams(2, Fraction(1, 50))
@@ -215,47 +216,44 @@ def medium_window(free_part: str) -> str:
 
 
 class TestApplySwap:
-    # validate=False here: full-range validity is covered by the acceptance
-    # suite and needs the complete count table
-
     def test_no_marker_unchanged(self):
         w = "0" * 500
-        assert apply_swap(w, CANON, validate=False) == w
+        assert apply_swap(w, CANON) == w
 
     def test_short_interval_unchanged(self):
         w = CANON.marker + "0" * 100 + CANON.marker
-        assert apply_swap(w, CANON, validate=False) == w
+        assert apply_swap(w, CANON) == w
 
     def test_sparse_to_dense_roundtrip(self):
         free = unrank_sparse(CANON, 195, 12345)
         w = medium_window(free)
-        once = apply_swap(w, CANON, validate=False)
+        once = apply_swap(w, CANON)
         assert once != w
         assert marker_occurrences(once, CANON.marker) == [0, 200]
         code = once[5:200]
         assert rank_dense_safe(CANON, code) == 12345
-        assert apply_swap(once, CANON, validate=False) == w
+        assert apply_swap(once, CANON) == w
 
     def test_dense_to_sparse_roundtrip(self):
         code = unrank_dense_safe(CANON, 195, 54321)
         w = medium_window(code)
-        once = apply_swap(w, CANON, validate=False)
+        once = apply_swap(w, CANON)
         assert once[5:200] == unrank_sparse(CANON, 195, 54321)
-        assert apply_swap(once, CANON, validate=False) == w
+        assert apply_swap(once, CANON) == w
 
     def test_dense_above_sparse_count_unchanged(self):
         idx = sparse_count(CANON, 195)
         assert idx < safe_dense_count(CANON, 195)
         code = unrank_dense_safe(CANON, 195, idx)
         w = medium_window(code)
-        assert apply_swap(w, CANON, validate=False) == w
+        assert apply_swap(w, CANON) == w
 
     def test_free_part_outside_both_families_unchanged(self):
         # weight far above the sparse band, not a code word
         free = "1" * 97 + "0" * 98  # weight 97 >> hi(195)
         assert "10100" not in free
         w = medium_window(free)
-        assert apply_swap(w, CANON, validate=False) == w
+        assert apply_swap(w, CANON) == w
 
     def test_details_track_rewrites(self):
         free = unrank_sparse(CANON, 195, 7)
@@ -270,7 +268,7 @@ class TestApplySwap:
 
     def test_non_binary_window_rejected(self):
         with pytest.raises(ValueError):
-            apply_swap("012", CANON, validate=False)
+            apply_swap("012", CANON)
 
 
 class TestParamsValidity:
@@ -283,6 +281,20 @@ class TestParamsValidity:
         report = check_swap_params(SwapParams(1, Fraction(1, 50)))
         assert report.valid and report.vacuous
         assert "no medium intervals" in report.reasons[0]
+
+    def test_table_size_prediction_is_exact(self, monkeypatch):
+        params = SwapParams(2, Fraction(1, 20))
+        check_swap_params(params)
+        engine = _params_engine(params)
+        cells = sum(len(row) for layer in engine.layers for row in layer)
+        assert len(engine.layers) == params.max_free_length + 1
+        check_swap_params.cache_clear()
+        monkeypatch.setattr(interval_swap, "MAX_SWAP_TABLE_CELLS", cells)
+        check_swap_params(params)
+        check_swap_params.cache_clear()
+        monkeypatch.setattr(interval_swap, "MAX_SWAP_TABLE_CELLS", cells - 1)
+        with pytest.raises(ValueError, match="cells"):
+            check_swap_params(params)
 
 
 from hypothesis import given, settings

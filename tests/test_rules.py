@@ -17,9 +17,11 @@ from cafreq import (
     parse_rule,
     preimages,
     random_rule,
+    self_compose,
     surjective_rules,
 )
-from cafreq.rules import rule_count, rule_from_index, rule_index
+from cafreq import rules
+from cafreq.rules import _pairs_balanced, rule_count, rule_from_index, rule_index
 from cafreq.rng import SplitMix64
 
 XOR = parse_rule("2 1 0110")
@@ -31,6 +33,75 @@ SHIFT2 = LocalRule.shift(2)
 
 def all_words(q, n):
     return ("".join(map(str, syms)) for syms in itertools.product(range(q), repeat=n))
+
+
+def subset_construction_surjective(rule):
+    """Oracle: surjectivity by the de Bruijn subset construction.
+
+    Vertices are words of length r, and u reaches v under output a when the
+    overlap word w (u = w[:-1], v = w[1:]) has f(w) = a.  Starting from the
+    full vertex set, the rule is surjective iff the empty set is
+    unreachable.  Exponential in q^r, so only for q^r <= 16.
+    """
+    q, r = rule.q, rule.r
+    nodes = q**r
+    assert nodes <= 16
+    succ = [[0] * nodes for _ in range(q)]
+    for u in range(nodes):
+        for b in range(q):
+            w = u * q + b
+            succ[rule.table[w]][u] |= 1 << (w % nodes)
+    full = (1 << nodes) - 1
+    seen = {full}
+    stack = [full]
+    while stack:
+        state = stack.pop()
+        for rows in succ:
+            target = 0
+            m = state
+            while m:
+                target |= rows[(m & -m).bit_length() - 1]
+                m &= m - 1
+            if target == 0:
+                return False
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return True
+
+
+def filtered_rules(q, r, rng, count):
+    """`count` shuffled balanced tables that also pass the length-2 filter."""
+    out = []
+    while len(out) < count:
+        table = [s for s in range(q) for _ in range(q**r)]
+        for i in range(len(table) - 1, 0, -1):
+            j = rng.below(i + 1)
+            table[i], table[j] = table[j], table[i]
+        rule = LocalRule(q, r, tuple(table))
+        if _pairs_balanced(rule):
+            out.append(rule)
+    return out
+
+
+def filtered_composites(q, r, rng, count):
+    """Composites of two filtered radius-r rules that pass both filters."""
+    pool = filtered_rules(q, r, rng, 30)
+    out = []
+    while len(out) < count:
+        rule = compose(pool[rng.below(len(pool))], pool[rng.below(len(pool))])
+        if is_balanced(rule) and _pairs_balanced(rule):
+            out.append(rule)
+    return out
+
+
+# surjective radius-3 rules that depend on both end cells and are neither
+# left- nor right-permutive, and a non-surjective one that passes both
+# balance filters
+SURJ_R3 = [parse_rule(t) for t in (
+    "2 3 0011101000111100", "2 3 0011001110010011", "2 3 1000001111000111"
+)]
+NONSURJ_R3 = parse_rule("2 3 0000100111110011")
 
 
 class TestParsing:
@@ -200,9 +271,56 @@ class TestSurjectivity:
                 if is_surjective(rule):
                     assert is_balanced(rule)
 
-    def test_de_bruijn_guard(self):
-        with pytest.raises(ValueError):
-            is_surjective(LocalRule(2, 5, tuple(0 for _ in range(64))))
+    def test_de_bruijn_guard(self, monkeypatch):
+        # q^(2r) = 2^20 pair-graph vertices, over the 2^18 cap; refused
+        # before the balance filters or the search run
+        def unreachable(rule):
+            raise AssertionError("filter ran on an oversize rule")
+
+        monkeypatch.setattr(rules, "is_balanced", unreachable)
+        with pytest.raises(ValueError, match="pair-graph vertices"):
+            is_surjective(LocalRule(2, 10, tuple(0 for _ in range(2**11))))
+
+    def test_largest_accepted_sizes(self):
+        # q = 36 at r = 1 and binary rules at r = 9 are within the cap
+        assert is_surjective(LocalRule.shift(36))
+        assert is_surjective(self_compose(XOR, 9))
+        assert not is_surjective(LocalRule(2, 9, tuple(0 for _ in range(2**10))))
+
+    @pytest.mark.parametrize(
+        "q, r, surjective", [(2, 0, 2), (2, 1, 6), (2, 2, 30), (2, 3, 582), (3, 0, 6), (3, 1, 420)]
+    )
+    def test_matches_subset_construction_exhaustive(self, q, r, surjective):
+        found = 0
+        for rule in enumerate_rules(q, r):
+            expected = subset_construction_surjective(rule)
+            assert is_surjective(rule) == expected, rule.format()
+            found += expected
+        assert found == surjective
+
+    def test_matches_subset_construction_random(self):
+        rng = SplitMix64(20250)
+        sample = (
+            filtered_rules(2, 4, rng, 60)
+            + filtered_composites(2, 2, rng, 60)
+            + filtered_composites(4, 1, rng, 60)
+        )
+        outcomes = Counter()
+        for rule in sample:
+            expected = subset_construction_surjective(rule)
+            assert is_surjective(rule) == expected, rule.format()
+            outcomes[rule.q, expected] += 1
+        # both answers occur for both alphabets, so the search decides both
+        assert set(outcomes) == {(2, True), (2, False), (4, True), (4, False)}
+
+    def test_composites_beyond_the_subset_construction(self):
+        a, b, c = SURJ_R3
+        assert is_surjective(compose(a, b))  # r = 6
+        assert is_surjective(compose(compose(a, b), c))  # r = 9
+        assert not is_surjective(NONSURJ_R3)
+        for rule in (compose(a, NONSURJ_R3), compose(NONSURJ_R3, b)):
+            assert is_balanced(rule) and _pairs_balanced(rule)
+            assert not is_surjective(rule)
 
 
 class TestPreimages:
@@ -235,6 +353,33 @@ class TestEnumeration:
 
     def test_surjective_count(self):
         assert len(surjective_rules(2, 1)) == 6
+
+    def test_surjective_rules_jobs_invariant(self, monkeypatch):
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        one = surjective_rules(2, 2, jobs=1)
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        assert surjective_rules(2, 2, jobs=2) == one
+        assert one == tuple(r for r in enumerate_rules(2, 2) if is_surjective(r))
+
+    def test_surjective_rules_cached_across_limit_and_jobs(self, monkeypatch):
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        first = surjective_rules(2, 2)
+
+        def no_pool(*args):
+            raise AssertionError("the cached rule list was filtered again")
+
+        monkeypatch.setattr(rules, "map_ranges", no_pool)
+        assert surjective_rules(2, 2, limit=256, jobs=2) is first
+
+    def test_surjective_rules_limit_before_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("map_ranges ran on an oversize rule space")
+
+        monkeypatch.setattr(rules, "map_ranges", no_pool)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            surjective_rules(2, 4, jobs=2)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            surjective_rules(2, 1, limit=15)
 
     def test_lexicographic_order(self):
         tables = [r.table for r in enumerate_rules(2, 1)]
