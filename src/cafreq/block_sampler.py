@@ -57,6 +57,10 @@ def default_copy_probs(levels: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, n + 1) for n in range(levels))
 
 
+#: every sample builds a whole top block, 2^21 bits at 6 levels (2^28 at 7)
+MAX_LEVELS = 6
+
+
 @dataclass(frozen=True)
 class BlockMeasureParams:
     """Top level count, alternation mix alpha, per-level copy probabilities."""
@@ -68,6 +72,11 @@ class BlockMeasureParams:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("need at least one level")
+        if self.levels > MAX_LEVELS:
+            raise ValueError(
+                f"{self.levels} levels exceed {MAX_LEVELS}: a top block of "
+                f"more than 2^{triangular(MAX_LEVELS)} bits"
+            )
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must lie in [0, 1]")

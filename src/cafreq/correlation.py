@@ -15,12 +15,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .rules import (
     DEFAULT_ENUMERATION_LIMIT,
-    DIGITS,
     LocalRule,
+    _image,
     enumerate_rules,
     is_surjective,
     symbols_word,
@@ -37,6 +37,18 @@ def normalize_symbols(symbols: SymbolsLike, q: int) -> frozenset[int]:
         if not 0 <= s < q:
             raise ValueError(f"symbol {s} out of range for alphabet size {q}")
     return out
+
+
+#: exhaustive scans over words (histogram neighborhoods, periodic
+#: configurations, finite_correlation inputs) refuse more than this many
+MAX_SCAN_WORDS = 1 << 24
+
+
+def _check_scan(q: int, length: int, what: str) -> None:
+    # q >= 2, so a length past log2(MAX_SCAN_WORDS) is refused without
+    # computing q^length
+    if length >= MAX_SCAN_WORDS.bit_length() or q**length > MAX_SCAN_WORDS:
+        raise ValueError(f"{what} = {q}^{length} exceeds limit {MAX_SCAN_WORDS}")
 
 
 #: scans over every proper symbol set (2^q - 2 of them) refuse larger q
@@ -95,15 +107,19 @@ def histogram(
     B: SymbolsLike,
     r_eff: Optional[int] = None,
 ) -> Histogram:
-    """Histogram at radius r_eff >= rule.r (extra cells are ignored by f)."""
+    """Histogram at radius r_eff >= rule.r (extra cells are ignored by f).
+
+    Refuses q^(r_eff+1) > MAX_SCAN_WORDS neighborhoods before scanning.
+    """
     q, r = rule.q, rule.r
     if r_eff is None:
         r_eff = r
     if r_eff < r:
         raise ValueError(f"effective radius {r_eff} below rule radius {r}")
+    width = r_eff + 1
+    _check_scan(q, width, "q^(r_eff+1)")
     Aset = normalize_symbols(A, q)
     Bset = normalize_symbols(B, q)
-    width = r_eff + 1
     drop = q ** (r_eff - r)
     counts = [0] * (width + 1)
     for w in range(q**width):
@@ -188,7 +204,7 @@ def weighted_square_sum(n: int, a) -> Fraction:
 
 
 def finite_correlation(
-    rule: LocalRule, A: SymbolsLike, n: int, limit: int = 1 << 24
+    rule: LocalRule, A: SymbolsLike, n: int, limit: int = MAX_SCAN_WORDS
 ) -> int:
     """Total weight correlation over all input words of length n + r.
 
@@ -201,24 +217,12 @@ def finite_correlation(
     if q ** (n + r) > limit:
         raise ValueError(f"q^(n+r) = {q ** (n + r)} exceeds limit {limit}")
     Aset = normalize_symbols(A, q)
-    qr = q**r
-    table = rule.table
-    total = 0
     in_a = [s in Aset for s in range(q)]
-    # iterate words as digit vectors to avoid re-decoding
+    total = 0
     for syms in itertools.product(range(q), repeat=n + r):
-        wa = sum(1 for s in syms if in_a[s])
+        wa = sum(in_a[s] for s in syms)
         if wa:
-            idx = 0
-            for s in syms[:r]:
-                idx = idx * q + s
-            fa = 0
-            for s in syms[r:]:
-                idx = idx * q + s
-                if table[idx] in Aset:
-                    fa += 1
-                idx %= qr
-            total += wa * fa
+            total += wa * sum(in_a[s] for s in _image(rule, syms))
     return total
 
 
@@ -367,18 +371,15 @@ def histogram_matches_identity(rule: LocalRule, A: SymbolsLike) -> bool:
     return h_rule.counts == h_id.counts
 
 
+def _periodic_image(rule: LocalRule, syms: Sequence[int]) -> list[int]:
+    # one period of the image: the period extended by its first r cells,
+    # cycling when the period is shorter than r
+    return _image(rule, (syms * (rule.r + 1))[: len(syms) + rule.r])
+
+
 def apply_periodic(rule: LocalRule, config: str) -> str:
     """One rule step on a spatially periodic configuration, one period."""
-    p = len(config)
-    syms = word_symbols(config, rule.q)
-    q, r, table = rule.q, rule.r, rule.table
-    out = []
-    for i in range(p):
-        idx = 0
-        for j in range(r + 1):
-            idx = idx * q + syms[(i + j) % p]
-        out.append(DIGITS[table[idx]])
-    return "".join(out)
+    return symbols_word(_periodic_image(rule, word_symbols(config, rule.q)))
 
 
 def find_conservation_violation(
@@ -388,18 +389,17 @@ def find_conservation_violation(
 
     Returns the first violating (config, image) in (period, lexicographic)
     order, or None.  Sound for violation, incomplete for conservation.
+    Refuses q^max_period > MAX_SCAN_WORDS before scanning.
     """
     q = rule.q
+    _check_scan(q, max_period, "q^max_period")
     Aset = normalize_symbols(A, q)
-    a_digits = {DIGITS[s] for s in Aset}
+    in_a = [s in Aset for s in range(q)]
     for p in range(1, max_period + 1):
         for syms in itertools.product(range(q), repeat=p):
-            before = sum(1 for s in syms if s in Aset)
-            config = symbols_word(syms)
-            image = apply_periodic(rule, config)
-            after = sum(1 for ch in image if ch in a_digits)
-            if before != after:
-                return config, image
+            image = _periodic_image(rule, syms)
+            if sum(in_a[s] for s in syms) != sum(in_a[s] for s in image):
+                return symbols_word(syms), symbols_word(image)
     return None
 
 

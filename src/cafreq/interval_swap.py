@@ -336,6 +336,7 @@ class _MarkerEngine:
         return "".join("110" + b for b in bits) + "0" * rem
 
 
+#: the most recently used engine only: a count table can take hundreds of MB
 _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
 
 
@@ -343,6 +344,7 @@ def _engine(pattern: str, max_weight: int) -> _MarkerEngine:
     key = (pattern, max_weight)
     eng = _ENGINES.get(key)
     if eng is None:
+        _ENGINES.clear()
         eng = _MarkerEngine(pattern, max_weight)
         _ENGINES[key] = eng
     return eng
@@ -714,10 +716,13 @@ def run_swap_trials(
     conservation, and the absence of 1111 inside freshly coded free parts.
     Results are independent of the job count.
     """
-    report = check_swap_params(params)  # builds the table before workers fork
+    report = check_swap_params(params)
     if not report.valid:
         raise ValueError("invalid swap parameters: " + "; ".join(report.reasons))
     if window_length is None:
         window_length = 3 * params.medium_bound
+    # build the table before workers fork: the report is cached, but its
+    # engine may have been evicted since, and no free part outgrows the window
+    _params_engine(params).ensure(min(report.max_free_length, window_length))
     parts = map_ranges(_trial_range, count, jobs, params, seed, window_length)
     return [trial for part in parts for trial in part]

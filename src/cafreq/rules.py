@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .rng import SplitMix64, map_ranges
 
@@ -123,6 +123,25 @@ def format_rule(rule: LocalRule) -> str:
     return rule.format()
 
 
+def _image(rule: LocalRule, syms: Sequence[int]) -> list[int]:
+    """The rule read along a symbol sequence; the result is r symbols shorter.
+
+    Application, iteration, composition and the correlation scans all use
+    this one sliding window.
+    """
+    q, r, table = rule.q, rule.r, rule.table
+    qr = q**r
+    idx = 0
+    for s in syms[:r]:
+        idx = idx * q + s
+    out = []
+    for s in syms[r:]:
+        idx = idx * q + s
+        out.append(table[idx])
+        idx %= qr
+    return out
+
+
 def apply_word(rule: LocalRule, word: str) -> str:
     """Apply the rule once; the result is r symbols shorter."""
     syms = word_symbols(word, rule.q)
@@ -130,16 +149,7 @@ def apply_word(rule: LocalRule, word: str) -> str:
         raise ValueError(
             f"word of length {len(syms)} too short for radius {rule.r}"
         )
-    q, qr, table = rule.q, rule.q ** rule.r, rule.table
-    idx = 0
-    for s in syms[: rule.r]:
-        idx = idx * q + s
-    out = []
-    for s in syms[rule.r :]:
-        idx = idx * q + s
-        out.append(DIGITS[table[idx]])
-        idx %= qr
-    return "".join(out)
+    return symbols_word(_image(rule, syms))
 
 
 def iterate_word(rule: LocalRule, word: str, t: int) -> str:
@@ -150,22 +160,19 @@ def iterate_word(rule: LocalRule, word: str, t: int) -> str:
         raise ValueError(
             f"word of length {len(word)} too short for {t} steps of radius {rule.r}"
         )
+    syms = word_symbols(word, rule.q)
     for _ in range(t):
-        word = apply_word(rule, word)
-    return word
+        syms = _image(rule, syms)
+    return symbols_word(syms)
 
 
 def compose(f: LocalRule, g: LocalRule) -> LocalRule:
     """Rule computing f after g, of radius f.r + g.r."""
     if f.q != g.q:
         raise ValueError("cannot compose rules over different alphabets")
-    q = f.q
-    width = f.r + g.r + 1
-    table = []
-    for syms in itertools.product(range(q), repeat=width):
-        mid = apply_word(g, symbols_word(syms))
-        table.append(symbol_value(apply_word(f, mid)))
-    return LocalRule(q, f.r + g.r, tuple(table))
+    neighborhoods = itertools.product(range(f.q), repeat=f.r + g.r + 1)
+    table = tuple(_image(f, _image(g, syms))[0] for syms in neighborhoods)
+    return LocalRule(f.q, f.r + g.r, table)
 
 
 def self_compose(rule: LocalRule, t: int) -> LocalRule:

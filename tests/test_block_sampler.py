@@ -45,6 +45,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BlockMeasureParams(levels=2, copy_probs=(Fraction(1),))
 
+    def test_levels_guard(self):
+        # every sample builds a whole top block: 2^21 bits at 6 levels, 2^28 at 7
+        assert BlockMeasureParams(levels=6).window_capacity == 1 << 21
+        with pytest.raises(ValueError, match="levels"):
+            BlockMeasureParams(levels=7)
+
     def test_containment_probability(self):
         params = BlockMeasureParams(levels=2)
         assert containment_probability(params, 8) == Fraction(1, 8)

@@ -350,6 +350,27 @@ class TestConstructionCommands:
         assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correlate", "2 1 0110", "--A", "1", "--r-eff", "40"], "q^(r_eff+1) = 2^41"),
+        (
+            ["sweep", "--q", "2", "--r", "1", "--check", "conservation", "--max-period", "40"],
+            "q^max_period = 2^40",
+        ),
+        (["xor-limit", "--levels", "7", "--samples", "2", "--n-values", "1"], "7 levels"),
+    ],
+    ids=["correlate", "conservation", "xor-limit"],
+)
+def test_unbounded_scan_refused_before_output(argv, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 SPAWN_SCRIPT = """
 import multiprocessing
 import sys

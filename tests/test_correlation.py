@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 
 import pytest
@@ -29,7 +30,10 @@ from cafreq.correlation import (
     proper_subsets,
 )
 from cafreq.rng import SplitMix64
-from cafreq.rules import random_rule
+from cafreq.rules import apply_word, random_rule
+
+# the package's `correlation` attribute is the function of that name
+correlation_module = import_module("cafreq.correlation")
 
 XOR = parse_rule("2 1 0110")
 IDENTITY2 = LocalRule.identity(2)
@@ -94,6 +98,17 @@ class TestHistogram:
                         h = histogram(rule, A, B)
                         expected = sum(1 for v in rule.table if v in B)
                         assert h.total == expected
+
+    def test_scan_guard(self, monkeypatch):
+        monkeypatch.setattr(correlation_module, "MAX_SCAN_WORDS", 1 << 4)
+        assert histogram(XOR, [1], [1], r_eff=3).total == 8
+        with pytest.raises(ValueError, match="r_eff"):
+            histogram(XOR, [1], [1], r_eff=4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="r_eff"):
+            histogram(XOR, [1], [1], r_eff=24)  # 2^25 neighborhoods
+        with pytest.raises(ValueError, match="r_eff"):
+            histogram(XOR, [1], [1], r_eff=10**9)
 
     def test_surjective_total_is_balanced(self):
         for r in (0, 1, 2):
@@ -232,6 +247,23 @@ class TestFiniteCorrelation:
     def test_guard(self):
         with pytest.raises(ValueError):
             finite_correlation(XOR, [1], 30)
+
+    def test_matches_apply_word_brute_force(self):
+        rng = SplitMix64(13)
+        for q in (2, 3):
+            for r in range(3):
+                rule = random_rule(q, r, rng)
+                for A in ([0], [q - 1], range(1, q)):
+                    digits = {str(a) for a in A}
+                    for n in range(1, 5):
+                        expected = 0
+                        for syms in itertools.product("0123"[:q], repeat=n + r):
+                            w = "".join(syms)
+                            image = apply_word(rule, w)
+                            expected += (
+                                sum(c in digits for c in w) * sum(c in digits for c in image)
+                            )
+                        assert finite_correlation(rule, A, n) == expected
 
     def test_window_identity_links_local_and_global(self):
         # C(F) = C_n(F) / (n q^(n-1)) - (n-1) |A|^2 q^(r-1), exactly
@@ -375,6 +407,39 @@ class TestConservation:
     def test_apply_periodic(self):
         assert apply_periodic(XOR, "01") == "11"
         assert apply_periodic(conservation_counterexample_rule(), "012") == "112"
+
+    def test_periodic_image_matches_modular_definition(self):
+        # out[i] = f(c[(i+j) % p] for j <= r), including periods p <= r
+        rng = SplitMix64(14)
+        for q in (2, 3):
+            for r in range(4):
+                rule = random_rule(q, r, rng)
+                first_violation = None
+                for p in range(1, 5):
+                    for c in itertools.product(range(q), repeat=p):
+                        out = []
+                        for i in range(p):
+                            idx = 0
+                            for j in range(r + 1):
+                                idx = idx * q + c[(i + j) % p]
+                            out.append(rule.table[idx])
+                        config = "".join(map(str, c))
+                        image = "".join(map(str, out))
+                        assert apply_periodic(rule, config) == image
+                        if first_violation is None and c.count(0) != out.count(0):
+                            first_violation = (config, image)
+                assert find_conservation_violation(rule, [0], 4) == first_violation
+
+    def test_periodic_search_guard(self, monkeypatch):
+        monkeypatch.setattr(correlation_module, "MAX_SCAN_WORDS", 1 << 4)
+        assert find_conservation_violation(IDENTITY2, [1], 4) is None
+        with pytest.raises(ValueError, match="max_period"):
+            find_conservation_violation(IDENTITY2, [1], 5)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="max_period"):
+            find_conservation_violation(IDENTITY2, [1], 25)
+        with pytest.raises(ValueError, match="max_period"):
+            find_conservation_violation(IDENTITY2, [1], 10**9)
 
     def test_periodic_search_order(self):
         # first witness in (period, lexicographic) order for XOR and A={1}

@@ -282,6 +282,19 @@ class TestParamsValidity:
         assert report.valid and report.vacuous
         assert "no medium intervals" in report.reasons[0]
 
+    def test_engine_cache_keeps_one_table(self):
+        # each count table can take hundreds of MB; only the last one is kept
+        first, last = SwapParams(2, Fraction(1, 36)), SwapParams(2, Fraction(1, 40))
+        for params in (first, last):
+            sparse_count(params, 300)
+        cap = weight_bounds(last.max_free_length, last.p)[1]
+        assert list(interval_swap._ENGINES) == [(last.marker, cap)]
+        free = unrank_sparse(CANON, 195, 12345)
+        once = apply_swap(medium_window(free), CANON)
+        assert rank_dense_safe(CANON, once[5:200]) == 12345
+        assert apply_swap(once, CANON) == medium_window(free)
+        assert len(interval_swap._ENGINES) == 1
+
     def test_table_size_prediction_is_exact(self, monkeypatch):
         params = SwapParams(2, Fraction(1, 20))
         check_swap_params(params)

@@ -151,6 +151,17 @@ class TestApply:
                 for w in all_words(2, n):
                     assert len(apply_word(rule, w)) == n - rule.r
 
+    def test_matches_definition(self):
+        # output i is f of the neighborhood w[i : i+r+1], read as a base-q index
+        rng = SplitMix64(11)
+        for q in (2, 3):
+            for r in range(4):
+                rule = random_rule(q, r, rng)
+                for n in range(r + 1, r + 4):
+                    for w in all_words(q, n):
+                        expected = [rule.table[int(w[i : i + r + 1], q)] for i in range(n - r)]
+                        assert apply_word(rule, w) == "".join(map(str, expected))
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             apply_word(XOR, "1")
@@ -173,6 +184,20 @@ class TestIterate:
     def test_too_short_for_t(self):
         with pytest.raises(ValueError):
             iterate_word(XOR, "0011", 4)
+
+    def test_matches_repeated_apply_word(self):
+        rng = SplitMix64(12)
+        for q in (2, 3):
+            for r in range(4):
+                rule = random_rule(q, r, rng)
+                for t in range(4):
+                    for _ in range(20):
+                        n = t * r + 1 + rng.below(4)
+                        w = "".join(str(rng.below(q)) for _ in range(n))
+                        expected = w
+                        for _ in range(t):
+                            expected = apply_word(rule, expected)
+                        assert iterate_word(rule, w, t) == expected
 
 
 class TestCompose:
