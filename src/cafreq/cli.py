@@ -357,6 +357,12 @@ def _cmd_xor_limit(args) -> int:
         n_values = [int(x) for x in args.n_values.split(",")]
     else:
         n_values = list(range(1, args.levels))
+    for n in n_values:  # before any 2^triangular(n) step count is built
+        if not 0 <= n < args.levels:
+            raise ValueError(
+                f"--n-values entry {n} is outside 0..{args.levels - 1} "
+                f"for --levels {args.levels}"
+            )
     rows = []
     for n in n_values:
         steps = 1 << block_sampler.triangular(n)

@@ -3,9 +3,12 @@
 A measure is represented by its exact rational cylinder values: the
 probability that a given finite word appears at position 0.  Product,
 uniform, Dirac, and finite-depth explicit tables are supported.  Pushing a
-measure forward under a rule sums the measure over all preimage words;
-everything is exact except block entropy, which is the one floating-point
-diagnostic (it needs logarithms).
+measure forward under a rule sums the measure over all preimage words.  For
+a product measure with integer weights n_s over a common denominator D that
+sum is an integer over D^(|w|+r), and a transfer matrix over the q^r de
+Bruijn states adds it up without listing the preimages; other measures
+enumerate them.  Everything is exact except block entropy, which is the one
+floating-point diagnostic (it needs logarithms).
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+
+import numpy as np
 
 from .correlation import SymbolsLike, histogram, normalize_symbols
 from .rules import (
@@ -28,6 +34,9 @@ from .rules import (
 )
 
 DEFAULT_PUSHFORWARD_LIMIT = 1 << 26
+
+V = TypeVar("V", int, Fraction)
+Word = tuple[int, ...]
 
 
 class CylinderMeasure:
@@ -54,11 +63,18 @@ class ProductMeasure(CylinderMeasure):
         if sum(self.probs) != 1:
             raise ValueError("probabilities must sum to 1 exactly")
 
+    @cached_property
+    def weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, n): integer symbol weights over a common denominator, probs[s] = n[s] / D."""
+        denominator = math.lcm(*(p.denominator for p in self.probs))
+        return denominator, tuple(
+            p.numerator * (denominator // p.denominator) for p in self.probs
+        )
+
     def cylinder(self, word: str) -> Fraction:
-        out = Fraction(1)
-        for s in word_symbols(word, self.q):
-            out *= self.probs[s]
-        return out
+        denominator, n = self.weights
+        syms = word_symbols(word, self.q)
+        return Fraction(math.prod(n[s] for s in syms), denominator ** len(syms))
 
     @classmethod
     def uniform(cls, q: int) -> "ProductMeasure":
@@ -184,6 +200,61 @@ def _check_pushforward_bound(q: int, exponent: int, limit: int) -> None:
         )
 
 
+class _TransferMatrix:
+    """Preimage weights of a rule under integer symbol weights n.
+
+    A state is the table index of the last r cells of a partial preimage,
+    one of the q^r de Bruijn words of length r.  A vector over the states
+    holds, per state, the sum of prod n[s] over the partial preimages that
+    end there; reading an output symbol a extends each one by every cell b
+    whose neighborhood state*q + b maps to a.  After the whole word the
+    vector sums to the weight of the word's preimage set.  Entries are
+    Python ints in numpy object arrays, so nothing overflows.
+    """
+
+    def __init__(self, rule: LocalRule, n: Sequence[int]):
+        self.q, self.states = rule.q, rule.q**rule.r
+        table = np.array(rule.table, dtype=np.uint8).reshape(self.states, self.q)
+        weights = np.array(n, dtype=object)
+        # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
+        self.hits = [np.where(table == a, weights, 0) for a in range(self.q)]
+        start = np.ones(1, dtype=object)
+        for _ in range(rule.r):
+            start = (start[:, None] * weights).reshape(-1)
+        self.start = start
+
+    def step(self, v: np.ndarray, a: int) -> np.ndarray:
+        # row-major (state, b) is the neighborhood index; its last r cells,
+        # the next state, are the index modulo q^r
+        return (v[:, None] * self.hits[a]).reshape(self.q, self.states).sum(axis=0)
+
+    def weight(self, syms: Sequence[int]) -> int:
+        v = self.start
+        for a in syms:
+            v = self.step(v, a)
+        return int(v.sum())
+
+    def word_weights(self, n: int) -> Iterator[tuple[Word, int]]:
+        """(u, weight) for every length-n word u, in lexicographic order.
+
+        Depth first: each prefix's vector is computed once and extended.
+        """
+
+        def extend(prefix: Word, v: np.ndarray):
+            if len(prefix) == n:
+                yield prefix, int(v.sum())
+                return
+            for a in range(self.q):
+                yield from extend(prefix + (a,), self.step(v, a))
+
+        return extend((), self.start)
+
+
+def _check_alphabets(rule: LocalRule, mu: CylinderMeasure) -> None:
+    if mu.q != rule.q:
+        raise ValueError("measure and rule alphabets differ")
+
+
 def pushforward(
     rule: LocalRule,
     mu: CylinderMeasure,
@@ -193,12 +264,16 @@ def pushforward(
     """Image-measure cylinder value: the measure of the word's preimage set."""
     if len(word) < 1:
         raise ValueError("pushforward needs a nonempty word")
-    if mu.q != rule.q:
-        raise ValueError("measure and rule alphabets differ")
+    _check_alphabets(rule, mu)
     _check_pushforward_bound(rule.q, len(word) + rule.r, limit)
-    return sum(
-        (mu.cylinder(w) for w in _preimage_iter(rule, word)), Fraction(0)
-    )
+    if not isinstance(mu, ProductMeasure):
+        return sum(
+            (mu.cylinder(w) for w in _preimage_iter(rule, word)), Fraction(0)
+        )
+    syms = word_symbols(word, rule.q)
+    denominator, n = mu.weights
+    total = _TransferMatrix(rule, n).weight(syms)
+    return Fraction(total, denominator ** (len(syms) + rule.r))
 
 
 def iterate_pushforward(
@@ -259,6 +334,21 @@ class ContractionReport:
     witness_w: str
 
 
+def _words(q: int, n: int) -> Iterator[Word]:
+    """Every length-n symbol tuple, in lexicographic order."""
+    return itertools.product(range(q), repeat=n)
+
+
+def _farthest(values: Iterable[tuple[Word, V]], center: V) -> tuple[V, Word]:
+    """Largest |value - center| and the first word attaining it."""
+    best, witness = -1, ()
+    for u, value in values:
+        d = abs(value - center)
+        if d > best:
+            best, witness = d, u
+    return best, witness
+
+
 def check_uniform_contraction(
     rule: LocalRule,
     mu: CylinderMeasure,
@@ -269,25 +359,35 @@ def check_uniform_contraction(
 
     lhs is the maximum of |F mu([u]) - q^-n| over length-n words u, rhs the
     same maximum for mu itself; holds means lhs <= rhs.  Witnesses are the
-    lexicographically first maximizers.
+    lexicographically first maximizers.  For a product measure both sides
+    are compared as integer numerators over their common denominators.
     """
     if n < 1:
         raise ValueError("cylinder length must be >= 1")
     q = rule.q
     _check_pushforward_bound(q, n + rule.r, limit)
-    lam = Fraction(1, q**n)
-    lhs = rhs = Fraction(-1)
-    witness_u = witness_w = ""
-    for syms in itertools.product(range(q), repeat=n):
-        u = symbols_word(syms)
-        d_image = abs(pushforward(rule, mu, u, limit) - lam)
-        if d_image > lhs:
-            lhs, witness_u = d_image, u
-        d_base = abs(mu.cylinder(u) - lam)
-        if d_base > rhs:
-            rhs, witness_w = d_base, u
+    _check_alphabets(rule, mu)
+    if isinstance(mu, ProductMeasure):
+        denominator, weights = mu.weights
+        scale = q**n  # |x / D^k - 1 / q^n| = |x q^n - D^k| / (D^k q^n)
+        image_unit, base_unit = denominator ** (n + rule.r), denominator**n
+        image = _TransferMatrix(rule, weights).word_weights(n)
+        base = ((u, math.prod(weights[s] for s in u)) for u in _words(q, n))
+        lhs, witness_u = _farthest(((u, x * scale) for u, x in image), image_unit)
+        rhs, witness_w = _farthest(((u, x * scale) for u, x in base), base_unit)
+        lhs, rhs = Fraction(lhs, image_unit * scale), Fraction(rhs, base_unit * scale)
+    else:
+        lam = Fraction(1, q**n)
+        image = ((u, pushforward(rule, mu, symbols_word(u), limit)) for u in _words(q, n))
+        base = ((u, mu.cylinder(symbols_word(u))) for u in _words(q, n))
+        lhs, witness_u = _farthest(image, lam)
+        rhs, witness_w = _farthest(base, lam)
     return ContractionReport(
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs, witness_u=witness_u, witness_w=witness_w
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs,
+        witness_u=symbols_word(witness_u),
+        witness_w=symbols_word(witness_w),
     )
 
 

@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .rng import SplitMix64, map_ranges
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -126,8 +128,8 @@ def format_rule(rule: LocalRule) -> str:
 def _image(rule: LocalRule, syms: Sequence[int]) -> list[int]:
     """The rule read along a symbol sequence; the result is r symbols shorter.
 
-    Application, iteration, composition and the correlation scans all use
-    this one sliding window.
+    Application, iteration and the correlation scans all use this one
+    sliding window.
     """
     q, r, table = rule.q, rule.r, rule.table
     qr = q**r
@@ -167,21 +169,43 @@ def iterate_word(rule: LocalRule, word: str, t: int) -> str:
 
 
 def compose(f: LocalRule, g: LocalRule) -> LocalRule:
-    """Rule computing f after g, of radius f.r + g.r."""
+    """Rule computing f after g, of radius f.r + g.r.
+
+    Built over every neighborhood at once.  Cell j of g's image reads the
+    g.r + 1 digits starting at j, which are the middle axis when the
+    neighborhood indices are laid out as (q^j, q^(g.r+1), q^(f.r-j)); those
+    f.r + 1 image cells are the index into f's table.
+    """
     if f.q != g.q:
         raise ValueError("cannot compose rules over different alphabets")
-    neighborhoods = itertools.product(range(f.q), repeat=f.r + g.r + 1)
-    table = tuple(_image(f, _image(g, syms))[0] for syms in neighborhoods)
-    return LocalRule(f.q, f.r + g.r, table)
+    q = f.q
+    width = q ** (g.r + 1)
+    g_table = np.array(g.table, dtype=np.int64).reshape(1, width, 1)
+    inner = np.zeros(q ** (f.r + g.r + 1), dtype=np.int64)
+    for j in range(f.r + 1):
+        inner *= q
+        window = inner.reshape(q**j, width, q ** (f.r - j))
+        window += g_table
+    table = np.array(f.table, dtype=np.uint8)[inner]
+    return LocalRule(q, f.r + g.r, tuple(table.tolist()))
 
 
 def self_compose(rule: LocalRule, t: int) -> LocalRule:
-    """The rule of the t-fold iterate, radius t*r; t = 0 gives the identity."""
+    """The rule of the t-fold iterate, radius t*r; t = 0 gives the identity.
+
+    Repeated squaring: iterates of one rule commute, so the powers
+    rule^(2^k) for the set bits of t compose in any order.
+    """
     if t < 0:
         raise ValueError("iteration count must be >= 0")
     out = LocalRule.identity(rule.q)
-    for _ in range(t):
-        out = compose(out, rule)
+    power = rule
+    while t:
+        if t & 1:
+            out = compose(out, power)
+        t >>= 1
+        if t:
+            power = compose(power, power)
     return out
 
 

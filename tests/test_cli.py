@@ -223,6 +223,65 @@ class TestMeasureCommands:
         assert code == 1
         assert "holds: False" in capsys.readouterr().out
 
+    # SHA-256 of (CSV bytes, stdout), recorded while cylinder
+    # values were still sums of Fraction products over enumerated preimages
+    DIGESTS = {
+        "pushforward-r2-a": (
+            ["pushforward", "2 2 01101001", "--measure", "bernoulli:1/3", "--word", "101",
+             "--t-max", "6"],
+            "8b68f7e1966f9e608adeb4dfe98bf0e4df68630b7f8e9091f07e21dbc4a0d7db",
+            "97da4a1638df85fbf88284e28c53b0d9b5516bbb8340399022ea28d0d3f3f809",
+        ),
+        "pushforward-r2-b": (
+            ["pushforward", "2 2 10110100", "--measure", "bernoulli:2/7", "--word", "0110",
+             "--t-max", "6"],
+            "b63c9928a622f0dfc926a188fde82568495ec6103ef904113e45449320315779",
+            "0e7e68d97643ee3ce51e0071586f725a7d2249063919e1f878b1ff8ff82456a6",
+        ),
+        "pushforward-q3": (
+            ["pushforward", ternary_example_descriptor(), "--measure", "product:1/2,1/3,1/6",
+             "--word", "021", "--t-max", "3"],
+            "caf4ca92b5133f5f41de46b80b31c09b2992a47e0aeb3bbc794331f29f13ec58",
+            "a17e30c01b752003124cdc272ef3e8e5c9b4474f564ec58c129db17fc27fdfa2",
+        ),
+        "pushforward-dirac": (
+            ["pushforward", "2 2 10010110", "--measure", "dirac:0", "--word", "11",
+             "--t-max", "4"],
+            "2cd6212a15b6379a45db2d17c5dc78cdeeaf2ea4f299801dbc44926320bbc196",
+            "715dfc37fb6201ec389e807d65978bfd63b7c43264b5d389851925db536ea45a",
+        ),
+        "contraction-n6": (
+            ["contraction", "2 2 01101001", "--measure", "bernoulli:1/3", "--n", "6"],
+            "8384231c56336af53be8a951f07211f8e02fb60ac8c89776768a0838347bb5c6",
+            "b02c1e46d15351c54a2d0233647d7ab91d9b3e2146943ced3b8f8b97ff754d72",
+        ),
+        "contraction-n8": (
+            ["contraction", "2 2 00011110", "--measure", "bernoulli:2/5", "--n", "8"],
+            "b8d06c92237d292c0991ee3c3abdbf893ed92b29a4ed80522620dedad1e417ea",
+            "1e473a9e9a8c8269d908edabd2fbf9d526fcd4158ba390e897a9b8833edeeff7",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_output_digests(self, name, capsys, tmp_path):
+        argv, csv_digest, stdout_digest = self.DIGESTS[name]
+        out_path = tmp_path / "measure.csv"
+        assert main(["measure", *argv, "--out", str(out_path)]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+
+    def test_ten_step_pushforward(self, capsys):
+        # a radius-20 composed rule: 2^21 table cells, 2^23 preimages of 101
+        code = main(
+            ["measure", "pushforward", "2 2 01101001", "--measure", "bernoulli:1/3",
+             "--word", "101", "--t", "10"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "t=10: measure([101]) = 48491534/387420489 ~ 0.125165\n"
+        )
+
     def test_guard_limit_is_usage_error(self, capsys):
         code = main(
             [
@@ -367,6 +426,17 @@ def test_unbounded_scan_refused_before_output(argv, message, capsys, tmp_path):
     assert main([*argv, "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("n_value", ["40", "4", "-1"])
+def test_xor_limit_level_out_of_range_refused_before_output(n_value, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    argv = ["xor-limit", "--levels", "4", "--samples", "2", "--n-values", n_value]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"--n-values entry {n_value} is outside 0..3 for --levels 4" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
 

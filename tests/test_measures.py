@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,11 +22,40 @@ from cafreq import (
     surjective_rules,
 )
 from cafreq.rng import SplitMix64
-from cafreq.rules import random_rule
+from cafreq.rules import iterate_word, preimages, random_rule, symbols_word
 
 XOR = parse_rule("2 1 0110")
 IDENTITY2 = LocalRule.identity(2)
 UNIFORM2 = ProductMeasure.uniform(2)
+
+# product measures the kernel must handle, zero weights included
+KERNEL_MEASURES = {
+    2: ("bernoulli:1/3", "bernoulli:2/7", "uniform", "dirac:0", "dirac:1", "subset:1:1"),
+    3: ("uniform", "product:1/2,1/3,1/6", "product:1/5,0,4/5", "dirac:2", "subset:02:1",
+        "subset:1:1/4"),
+}
+
+
+def enumerated_pushforward(rule, mu, word):
+    """Oracle: the measure summed over every preimage word."""
+    return sum((mu.cylinder(w) for w in preimages(rule, word)), Fraction(0))
+
+
+def words_up_to(q, n):
+    for length in range(1, n + 1):
+        for syms in itertools.product(range(q), repeat=length):
+            yield symbols_word(syms)
+
+
+def kernel_cases(seed, radii=(0, 1, 2, 3)):
+    """Seeded random rules for q in {2, 3} with each measure of that alphabet."""
+    rng = SplitMix64(seed)
+    for q in (2, 3):
+        for r in radii:
+            for _ in range(2):
+                rule = random_rule(q, r, rng)
+                for spec in KERNEL_MEASURES[q]:
+                    yield rule, make_measure(spec, q)
 
 
 def ternary_example_rule():
@@ -132,6 +162,49 @@ class TestPushforward:
             pushforward(XOR, mu, "1")
 
 
+class TestKernelOracle:
+    def test_pushforward_matches_enumeration(self):
+        for rule, mu in kernel_cases(101):
+            for u in words_up_to(rule.q, 4):
+                assert pushforward(rule, mu, u) == enumerated_pushforward(rule, mu, u)
+
+    def test_iterate_pushforward_matches_enumeration(self):
+        # the oracle iterates words itself, so it also checks self_compose
+        for rule, mu in kernel_cases(102, radii=(0, 1)):
+            q = rule.q
+            for t in (2, 3):
+                for length in range(1, 5 if q == 2 else 4):
+                    words = itertools.product(range(q), repeat=length)
+                    expected = {symbols_word(u): Fraction(0) for u in words}
+                    for syms in itertools.product(range(q), repeat=length + t * rule.r):
+                        w = symbols_word(syms)
+                        expected[iterate_word(rule, w, t)] += mu.cylinder(w)
+                    for u, value in expected.items():
+                        assert iterate_pushforward(rule, mu, t, u) == value
+
+    def test_explicit_table_of_a_product_measure_agrees(self):
+        # the same measure as an explicit table takes the enumeration path
+        rng = SplitMix64(103)
+        for q in (2, 3):
+            rule = random_rule(q, 1, rng)
+            for spec in KERNEL_MEASURES[q]:
+                mu = make_measure(spec, q)
+                table = {u: mu.cylinder(u) for u in words_up_to(q, 4)}
+                explicit = ExplicitMeasure(q, 4, {"": Fraction(1), **table})
+                for u in words_up_to(q, 3):
+                    assert pushforward(rule, explicit, u) == pushforward(rule, mu, u)
+
+    def test_product_cylinder_is_the_product(self):
+        mu = make_measure("product:1/2,1/3,1/6")
+        for u in words_up_to(3, 4):
+            expected = Fraction(1)
+            for c in u:
+                expected *= mu.probs[int(c)]
+            assert mu.cylinder(u) == expected
+        assert mu.cylinder("") == 1
+        assert mu.weights == (6, (3, 2, 1))
+
+
 class TestIteratePushforward:
     def test_uniform_invariant_many_steps(self):
         assert iterate_pushforward(XOR, UNIFORM2, 10, "1") == Fraction(1, 2)
@@ -230,6 +303,44 @@ class TestUniformContraction:
         assert rep.rhs == 0
         assert rep.lhs == Fraction(1, 4)
         assert not rep.holds
+
+
+def reference_contraction(rule, mu, n):
+    """Oracle: the per-word loop over enumerated pushforwards."""
+    lam = Fraction(1, rule.q**n)
+    lhs = rhs = Fraction(-1)
+    witness_u = witness_w = ""
+    for syms in itertools.product(range(rule.q), repeat=n):
+        u = symbols_word(syms)
+        d_image = abs(enumerated_pushforward(rule, mu, u) - lam)
+        if d_image > lhs:
+            lhs, witness_u = d_image, u
+        d_base = abs(mu.cylinder(u) - lam)
+        if d_base > rhs:
+            rhs, witness_w = d_base, u
+    return lhs, rhs, lhs <= rhs, witness_u, witness_w
+
+
+class TestContractionOracle:
+    def test_matches_per_word_reference(self):
+        for rule, mu in kernel_cases(104, radii=(0, 1, 2)):
+            for n in range(1, 5):
+                rep = check_uniform_contraction(rule, mu, n)
+                got = (rep.lhs, rep.rhs, rep.holds, rep.witness_u, rep.witness_w)
+                assert got == reference_contraction(rule, mu, n), (rule, mu, n)
+
+    def test_identity_keeps_distance_and_witness(self):
+        # the farthest word is the last one, not the first
+        mu = make_measure("product:1/5,0,4/5")
+        rep = check_uniform_contraction(LocalRule.identity(3), mu, 2)
+        assert rep.witness_u == rep.witness_w == "22"
+        assert rep.lhs == rep.rhs == Fraction(16, 25) - Fraction(1, 9)
+
+    def test_guard_before_alphabet_check(self):
+        with pytest.raises(ValueError, match="exceeds limit"):
+            check_uniform_contraction(XOR, ProductMeasure.uniform(3), 12, limit=1 << 10)
+        with pytest.raises(ValueError, match="alphabets differ"):
+            check_uniform_contraction(XOR, ProductMeasure.uniform(3), 2)
 
 
 class TestMeasureInvariance:

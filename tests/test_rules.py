@@ -35,6 +35,13 @@ def all_words(q, n):
     return ("".join(map(str, syms)) for syms in itertools.product(range(q), repeat=n))
 
 
+def image_compose(f, g):
+    """Oracle: f after g read off each neighborhood by the sliding window."""
+    neighborhoods = itertools.product(range(f.q), repeat=f.r + g.r + 1)
+    table = tuple(rules._image(f, rules._image(g, syms))[0] for syms in neighborhoods)
+    return LocalRule(f.q, f.r + g.r, table)
+
+
 def subset_construction_surjective(rule):
     """Oracle: surjectivity by the de Bruijn subset construction.
 
@@ -225,6 +232,30 @@ class TestCompose:
             fg = compose(f, g)
             for w in all_words(2, fg.r + 3):
                 assert apply_word(fg, w) == apply_word(f, apply_word(g, w))
+
+    def test_matches_image_oracle(self):
+        # random pairs of unequal radii, r = 0 and q = 3 included
+        rng = SplitMix64(4242)
+        radii = [(a, b) for a in range(4) for b in range(4)]
+        for q in (2, 3):
+            for rf, rg in radii:
+                if q == 3 and rf + rg > 4:
+                    continue
+                for _ in range(3):
+                    f, g = random_rule(q, rf, rng), random_rule(q, rg, rng)
+                    assert compose(f, g) == image_compose(f, g)
+
+    def test_self_compose_is_repeated_compose(self):
+        rng = SplitMix64(77)
+        for q, r in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
+            rule = random_rule(q, r, rng)
+            expected = LocalRule.identity(q)
+            assert self_compose(rule, 0) == expected
+            for t in range(1, 8):
+                if q ** (t * r + 1) > 1 << 15:
+                    break
+                expected = image_compose(expected, rule)
+                assert self_compose(rule, t) == expected
 
 
 class TestBalance:
