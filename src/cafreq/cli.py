@@ -266,6 +266,8 @@ def _cmd_measure_pushforward(args) -> int:
     rule = rules.parse_rule(args.rule)
     mu = measures.make_measure(args.measure, rule.q)
     t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
+    # the largest step count composes the largest table: refuse it before output
+    rules.check_composed_size(rule.q, rule.r, max(t_values, default=0))
     rows = []
     for t in t_values:
         value = measures.iterate_pushforward(rule, mu, t, args.word, limit=args.limit)

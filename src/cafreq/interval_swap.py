@@ -20,15 +20,18 @@ so the naive full code family would break both properties.
 
 Ranking and counting use a DP over (position, weight, marker-automaton
 state) with big-integer counts, shared across all lengths via a lazily
-grown suffix table.
+grown suffix table.  Rank and unrank cost O(weight * log length) table
+lookups: along a run of zeros the automaton soon reaches a state that a 0
+leaves unchanged, and from there the whole run is found by one search.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .rng import SplitMix64, bernoulli_word, map_ranges
@@ -80,17 +83,18 @@ class SwapParams:
     def marker(self) -> str:
         return "10" * self.n + "0"
 
-    @property
+    # cached: classify_interval reads the bounds once per interval
+    @cached_property
     def marker_prob(self) -> Fraction:
         """Bernoulli-p probability of the marker word."""
         return self.p**self.n * (1 - self.p) ** (self.n + 1)
 
-    @property
+    @cached_property
     def short_bound(self) -> int:
         """Intervals of length below ceil(2n/p) are short."""
         return math.ceil(Fraction(2 * self.n) / self.p)
 
-    @property
+    @cached_property
     def medium_bound(self) -> int:
         """Intervals of length above ceil(n/marker_prob) + 2|marker| are long."""
         return math.ceil(Fraction(self.n) / self.marker_prob) + 2 * len(self.marker)
@@ -136,13 +140,33 @@ def _factor_automaton(pattern: str) -> list[tuple[int, int]]:
     return delta
 
 
+#: refuse a sparse count table of more big-integer cells than this
+MAX_SWAP_TABLE_CELLS = 1 << 23
+
+
+def _check_table_size(states: int, length: int, cap: int) -> None:
+    """Refuse, before it is built, a count table over MAX_SWAP_TABLE_CELLS.
+
+    The table for lengths 0..length holds `states` rows of min(j, cap) + 1
+    cells per length j; a negative cap is counted as 0.
+    """
+    cap = max(cap, 0)
+    k = min(length, cap)
+    cells = states * ((k + 1) * (k + 2) // 2 + (length - k) * (cap + 1))
+    if cells > MAX_SWAP_TABLE_CELLS:
+        raise ValueError(
+            f"swap count table of {cells} cells exceeds limit {MAX_SWAP_TABLE_CELLS}"
+        )
+
+
 class _MarkerEngine:
     """Shared DP tables for one avoided pattern and one weight cap.
 
     `layers[j][s][t]` counts pattern-free binary words of length j, read
     from automaton state s, with at most t ones (t clamped at the cap).
-    Layers grow lazily; code tables for the dense family are per tail
-    length (rem in 0..3) and grow by block count.
+    Layers grow lazily and a row is never changed once built, so layers may
+    share rows; code tables for the dense family are per tail length (rem in
+    0..3) and grow by block count.
     """
 
     def __init__(self, pattern: str, max_weight: int):
@@ -174,90 +198,155 @@ class _MarkerEngine:
     # -- sparse side -------------------------------------------------------
 
     def ensure(self, length: int) -> None:
+        if len(self.layers) > length:
+            return
         m = self.states
-        delta = self.delta
         cap = self.max_weight
+        _check_table_size(m, length, cap)
+        if cap < 0:  # no word has fewer than 0 ones
+            while len(self.layers) <= length:
+                self.layers.append([[] for _ in range(m)])
+            return
+        add = operator.add
         while len(self.layers) <= length:
             j = len(self.layers)
             prev = self.layers[-1]
-            tp = min(j - 1, cap)
-            tc = min(j, cap)
+            grow = j <= cap  # rows gain a cell until they hold cap + 1
             layer = []
-            for s in range(m):
-                s0, s1 = delta[s]
-                p0 = prev[s0] if s0 < m else None
-                p1 = prev[s1] if s1 < m else None
-                row = []
-                for t in range(tc + 1):
-                    v = 0
-                    if p0 is not None:
-                        v += p0[t if t <= tp else tp]
-                    if p1 is not None and t >= 1:
-                        v += p1[t - 1 if t - 1 <= tp else tp]
-                    row.append(v)
+            for s0, s1 in self.delta:
+                # a word of length j is a 0 or a 1 before a word of length j - 1
+                a = prev[s0] if s0 < m else None
+                b = prev[s1] if s1 < m else None
+                if a is not None and grow:
+                    a = a + a[-1:]  # j - 1 cells hold at most j - 1 ones
+                if b is not None:
+                    b = [0] + (b if grow else b[:-1])  # the leading 1 is one of the t
+                if a is None:
+                    row = b if b is not None else [0] * (min(j, cap) + 1)
+                elif b is None:
+                    row = a
+                else:
+                    row = list(map(add, a, b))
                 layer.append(row)
             self.layers.append(layer)
 
-    def count_le(self, j: int, s: int, t: int) -> int:
-        if t < 0:
-            return 0
-        row = self.layers[j][s]
-        return row[t] if t < len(row) else row[-1]
-
     def count_range(self, j: int, s: int, lo: int, hi: int) -> int:
-        return self.count_le(j, s, hi) - self.count_le(j, s, lo - 1)
+        """Words of length j read from state s with lo..hi ones."""
+        row = self.layers[j][s]
+        top = len(row) - 1  # a row ends at the cap: more ones count as the cap
+        count = row[hi if hi < top else top] if hi >= 0 else 0
+        if lo > 0:
+            count -= row[lo - 1 if lo <= top else top]
+        return count
 
     def count(self, length: int, lo: int, hi: int) -> int:
         self.ensure(length)
         return self.count_range(length, 0, lo, hi)
 
     def rank(self, word: str, lo: int, hi: int) -> int:
+        """Lexicographic rank; visits only the 1s and the zeros that move the state."""
         length = len(word)
         self.ensure(length)
         m = self.states
         delta = self.delta
+        # a non-binary character is reported once the walk reaches it, so a
+        # pattern occurrence before it is reported first
+        end = length
+        if word.count("0") + word.count("1") != length:
+            end = next(i for i, ch in enumerate(word) if ch not in "01")
         rank = 0
         s = 0
         w = 0
-        for i, ch in enumerate(word):
-            j = length - 1 - i
+        i = 0
+        while True:
+            k = word.find("1", i, end)
+            zeros = (end if k < 0 else k) - i
+            # past a state that a 0 keeps, zeros change nothing
+            while zeros and delta[s][0] != s:
+                s = delta[s][0]
+                zeros -= 1
+                if s >= m:
+                    raise ValueError("word contains the avoided pattern")
+            if k < 0:
+                break
             s0, s1 = delta[s]
-            if ch == "1":
-                if s0 < m:
-                    rank += self.count_range(j, s0, lo - w, hi - w)
-                w += 1
-                s = s1
-            elif ch == "0":
-                s = s0
-            else:
-                raise ValueError(f"not a binary word: {word!r}")
+            if s0 < m:
+                rank += self.count_range(length - 1 - k, s0, lo - w, hi - w)
+            w += 1
+            s = s1
             if s >= m:
                 raise ValueError("word contains the avoided pattern")
+            i = k + 1
+        if end < length:
+            raise ValueError(f"not a binary word: {word!r}")
         if not lo <= w <= hi:
             raise ValueError(f"weight {w} outside [{lo}, {hi}]")
         return rank
 
     def unrank(self, length: int, index: int, lo: int, hi: int) -> str:
+        """Word of the given rank; a run of zeros costs O(log run) lookups.
+
+        At a state s that a 0 keeps, a 0 followed by k more cells leaves
+        c(k) = count_range(k, s, lo - w, hi - w) words, and c never
+        decreases with k: a 0 in front of a valid word keeps it valid.  So
+        the next 1 sits where k is the largest one with c(k) <= index,
+        found by galloping down from the current position and then
+        bisecting; every cell before it is a 0.
+        """
         total = self.count(length, lo, hi)
         if not 0 <= index < total:
             raise ValueError(f"index {index} out of range [0, {total})")
         m = self.states
         delta = self.delta
+        count_range = self.count_range
         out = []
         s = 0
         w = 0
-        for i in range(length):
-            j = length - 1 - i
+        left = length  # cells still to place
+        while left:
+            j = left - 1  # cells after the next one
             s0, s1 = delta[s]
-            c0 = self.count_range(j, s0, lo - w, hi - w) if s0 < m else 0
-            if index < c0:
-                out.append("0")
-                s = s0
-            else:
-                index -= c0
-                out.append("1")
-                w += 1
-                s = s1
+            if s0 != s:
+                c0 = count_range(j, s0, lo - w, hi - w) if s0 < m else 0
+                if index < c0:
+                    out.append("0")
+                    s = s0
+                else:
+                    index -= c0
+                    out.append("1")
+                    w += 1
+                    s = s1
+                left = j
+                continue
+            a, b = lo - w, hi - w
+            k, ck = j, count_range(j, s, a, b)
+            if ck > index:
+                # gallop to c(k) <= index < c(top), then bisect; c(-1) = 0
+                top, step = j, 1
+                while True:
+                    k = top - step
+                    if k < 0:
+                        k, ck = -1, 0
+                        break
+                    ck = count_range(k, s, a, b)
+                    if ck <= index:
+                        break
+                    top, step = k, 2 * step
+                while top - k > 1:
+                    mid = (k + top) // 2
+                    c = count_range(mid, s, a, b)
+                    if c <= index:
+                        k, ck = mid, c
+                    else:
+                        top = mid
+                out.append("0" * (j - k))
+                if k < 0:
+                    break
+            index -= ck
+            out.append("1")
+            w += 1
+            s = s1
+            left = k
         assert index == 0 and lo <= w <= hi
         return "".join(out)
 
@@ -293,7 +382,11 @@ class _MarkerEngine:
         bits = _dense_code_bits(word)
         if bits is None:
             raise ValueError("not a dense code word")
-        blocks, rem = divmod(len(word), 4)
+        return self._rank_code_bits(bits, len(word) % 4)
+
+    def _rank_code_bits(self, bits: str, rem: int) -> int:
+        """Rank of the code word with these code bits and a 0-tail of rem."""
+        blocks = len(bits)
         layers = self._ensure_code(rem, blocks)
         rank = 0
         s = 0
@@ -340,19 +433,25 @@ class _MarkerEngine:
 _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
 
 
-def _engine(pattern: str, max_weight: int) -> _MarkerEngine:
+def _engine(pattern: str, max_weight: int, length: int = 0) -> _MarkerEngine:
+    """The engine of (pattern, max_weight), its count table grown to length.
+
+    A new engine evicts the cached one, and is cached only once its table
+    has been accepted and built.
+    """
     key = (pattern, max_weight)
     eng = _ENGINES.get(key)
     if eng is None:
         _ENGINES.clear()
         eng = _MarkerEngine(pattern, max_weight)
-        _ENGINES[key] = eng
+    eng.ensure(length)
+    _ENGINES[key] = eng
     return eng
 
 
-def _params_engine(params: SwapParams) -> _MarkerEngine:
+def _params_engine(params: SwapParams, length: int = 0) -> _MarkerEngine:
     _, hi = weight_bounds(params.max_free_length, params.p)
-    return _engine(params.marker, max(hi, 0))
+    return _engine(params.marker, max(hi, 0), length)
 
 
 # ---------------------------------------------------------------------------
@@ -361,47 +460,53 @@ def _params_engine(params: SwapParams) -> _MarkerEngine:
 
 def count_avoiding(pattern: str, length: int, min_weight: int, max_weight: int) -> int:
     """Number of pattern-free binary words of the length with bounded weight."""
-    return _engine(pattern, max_weight).count(length, min_weight, max_weight)
+    return _engine(pattern, max_weight, length).count(length, min_weight, max_weight)
 
 
 def rank_avoiding(pattern: str, word: str, min_weight: int, max_weight: int) -> int:
     """Lexicographic rank of the word within the pattern-free weight family."""
-    return _engine(pattern, max_weight).rank(word, min_weight, max_weight)
+    return _engine(pattern, max_weight, len(word)).rank(word, min_weight, max_weight)
 
 
 def unrank_avoiding(
     pattern: str, length: int, index: int, min_weight: int, max_weight: int
 ) -> str:
-    return _engine(pattern, max_weight).unrank(length, index, min_weight, max_weight)
+    return _engine(pattern, max_weight, length).unrank(
+        length, index, min_weight, max_weight
+    )
 
 
 def sparse_count(params: SwapParams, length: int) -> int:
     lo, hi = weight_bounds(length, params.p)
-    return _params_engine(params).count(length, lo, hi)
+    return _params_engine(params, length).count(length, lo, hi)
 
 
 def rank_sparse(params: SwapParams, word: str) -> int:
     """Rank within the sparse family of the word's own length."""
     lo, hi = weight_bounds(len(word), params.p)
-    return _params_engine(params).rank(word, lo, hi)
+    return _params_engine(params, len(word)).rank(word, lo, hi)
 
 
 def unrank_sparse(params: SwapParams, length: int, index: int) -> str:
     lo, hi = weight_bounds(length, params.p)
-    return _params_engine(params).unrank(length, index, lo, hi)
+    return _params_engine(params, length).unrank(length, index, lo, hi)
 
 
 def _dense_code_bits(word: str) -> Optional[str]:
+    """Code bits of a dense code word (blocks 110b, then a 0-tail), or None."""
     blocks, rem = divmod(len(word), 4)
-    if word[4 * blocks :] != "0" * rem:
+    end = 4 * blocks
+    ones = "1" * blocks
+    bits = word[3:end:4]
+    if (
+        word[0:end:4] != ones
+        or word[1:end:4] != ones
+        or word[2:end:4] != "0" * blocks
+        or word[end:] != "0" * rem
+        or bits.strip("01")  # a character other than 0 and 1 stops the strip
+    ):
         return None
-    bits = []
-    for i in range(blocks):
-        piece = word[4 * i : 4 * i + 4]
-        if piece[:3] != "110" or piece[3] not in "01":
-            return None
-        bits.append(piece[3])
-    return "".join(bits)
+    return bits
 
 
 def dense_size(length: int) -> int:
@@ -510,10 +615,6 @@ class SwapParamsReport:
     reasons: tuple[str, ...]
 
 
-#: refuse parameters whose sparse count table would hold more big-int cells
-MAX_SWAP_TABLE_CELLS = 1 << 23
-
-
 @lru_cache(maxsize=16)
 def check_swap_params(params: SwapParams) -> SwapParamsReport:
     """Check that the swap map is well defined for these parameters.
@@ -522,7 +623,7 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
     weight separation 3*l*p/2 < 2*(l//4) (so the families are disjoint) and
     an injective encoding |sparse(l)| <= |safe dense(l)|, counted exactly.
     Refuses, before building it, a count table of more than
-    MAX_SWAP_TABLE_CELLS cells: |marker| rows of min(j, cap) + 1 per length j.
+    MAX_SWAP_TABLE_CELLS cells (_check_table_size).
     """
     mlen = len(params.marker)
     lo_l = max(params.short_bound - mlen, 0)
@@ -535,19 +636,14 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
             max_free_length=-1,
             reasons=("no medium intervals for these parameters",),
         )
-    cap = max(weight_bounds(hi_l, params.p)[1], 0)
-    k = min(hi_l, cap)
-    cells = mlen * ((k + 1) * (k + 2) // 2 + (hi_l - k) * (cap + 1))
-    if cells > MAX_SWAP_TABLE_CELLS:
-        raise ValueError(
-            f"swap count table of {cells} cells exceeds limit {MAX_SWAP_TABLE_CELLS}"
-        )
-    engine = _params_engine(params)
-    engine.ensure(hi_l)
+    # refused before the cached engine is touched
+    _check_table_size(mlen, hi_l, max(weight_bounds(hi_l, params.p)[1], 0))
+    engine = _params_engine(params, hi_l)
     reasons: list[str] = []
+    num, den = params.p.numerator, params.p.denominator
     for l in range(lo_l, hi_l + 1):
         lo, hi = weight_bounds(l, params.p)
-        if not Fraction(3 * l) * params.p / 2 < 2 * (l // 4):
+        if 3 * l * num >= 4 * (l // 4) * den:  # 3*l*p/2 >= 2*(l//4), in integers
             reasons.append(
                 f"weight bound fails at free length {l}: "
                 f"3*l*p/2 = {Fraction(3 * l) * params.p / 2} >= {2 * (l // 4)}"
@@ -603,7 +699,7 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
         bits = _dense_code_bits(v)
         if bits is not None:
             try:
-                idx = engine.rank_dense_safe(v)
+                idx = engine._rank_code_bits(bits, l % 4)
             except ValueError:
                 continue  # code word containing the marker cannot occur here
             if idx < engine.count(l, lo, hi):
@@ -658,13 +754,9 @@ class SwapTrial:
     max_dense_run: int  # longest 1-run inside those parts (diagnostic)
 
 
-def _max_run(text: str, ch: str) -> int:
-    best = cur = 0
-    for c in text:
-        cur = cur + 1 if c == ch else 0
-        if cur > best:
-            best = cur
-    return best
+def _max_run(word: str) -> int:
+    """Length of the longest run of 1s in a binary word."""
+    return max(map(len, word.split("0")))
 
 
 def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTrial:
@@ -678,7 +770,7 @@ def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTr
     max_run = 0
     for s, e in stats.dense_spans:
         piece = once[s:e]
-        run = _max_run(piece, "1")
+        run = _max_run(piece)
         max_run = max(max_run, run)
         if run >= 4:
             quad_free = False
@@ -723,6 +815,6 @@ def run_swap_trials(
         window_length = 3 * params.medium_bound
     # build the table before workers fork: the report is cached, but its
     # engine may have been evicted since, and no free part outgrows the window
-    _params_engine(params).ensure(min(report.max_free_length, window_length))
+    _params_engine(params, min(report.max_free_length, window_length))
     parts = map_ranges(_trial_range, count, jobs, params, seed, window_length)
     return [trial for part in parts for trial in part]

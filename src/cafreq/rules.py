@@ -30,6 +30,10 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 26
 #: the surjectivity search keeps one byte per pair of de Bruijn words
 MAX_PAIR_VERTICES = 1 << 18
 
+#: self_compose refuses larger tables: composing one, and a pushforward's
+#: transfer matrix over it, take about 100 bytes per cell
+MAX_COMPOSED_CELLS = 1 << 23
+
 
 def symbol_value(ch: str) -> int:
     v = DIGITS.find(ch)
@@ -190,14 +194,27 @@ def compose(f: LocalRule, g: LocalRule) -> LocalRule:
     return LocalRule(q, f.r + g.r, tuple(table.tolist()))
 
 
+def check_composed_size(q: int, r: int, t: int) -> None:
+    """Refuse a t-fold composed table of q^(t*r + 1) > MAX_COMPOSED_CELLS cells."""
+    exponent = t * r + 1
+    # q^e >= 2^e, so a long exponent is refused without computing q^e
+    if exponent >= MAX_COMPOSED_CELLS.bit_length() or q**exponent > MAX_COMPOSED_CELLS:
+        raise ValueError(
+            f"composed rule table of {q}^{exponent} cells exceeds limit "
+            f"{MAX_COMPOSED_CELLS}"
+        )
+
+
 def self_compose(rule: LocalRule, t: int) -> LocalRule:
     """The rule of the t-fold iterate, radius t*r; t = 0 gives the identity.
 
     Repeated squaring: iterates of one rule commute, so the powers
-    rule^(2^k) for the set bits of t compose in any order.
+    rule^(2^k) for the set bits of t compose in any order.  A table over
+    MAX_COMPOSED_CELLS cells is refused before any composing.
     """
     if t < 0:
         raise ValueError("iteration count must be >= 0")
+    check_composed_size(rule.q, rule.r, t)
     out = LocalRule.identity(rule.q)
     power = rule
     while t:

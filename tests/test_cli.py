@@ -343,6 +343,27 @@ class TestConstructionCommands:
         assert len(lines) == 4
         assert lines[0].startswith("index,occurrences")
 
+    # SHA-256 of the CSV, recorded while rank and unrank still stepped one
+    # bit at a time
+    FN_APPLY_DIGESTS = {
+        "canonical": (
+            ["--n", "2", "--p", "1/50", "--windows", "20", "--seed", "4"],
+            "99e90d1a4249c36a70797b2894ab55d5e8650d7863a7b89c06b898adca136222",
+        ),
+        "p36-short-windows": (
+            ["--n", "2", "--p", "1/36", "--window-length", "4000", "--windows", "6",
+             "--seed", "3"],
+            "9ea375101e8494dbc9b51a89ad3b5115a9537ea92f8dac6472b3852f09277f50",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FN_APPLY_DIGESTS))
+    def test_fn_apply_digests(self, name, capsys, tmp_path):
+        argv, digest = self.FN_APPLY_DIGESTS[name]
+        out_path = tmp_path / "fn.csv"
+        assert main(["fn", "apply", *argv, "--jobs", "1", "--out", str(out_path)]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
     def test_sweep_rules_file(self, capsys, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("2 1 0110\n2 1 0101\n")
@@ -426,6 +447,19 @@ def test_unbounded_scan_refused_before_output(argv, message, capsys, tmp_path):
     assert main([*argv, "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("steps", [["--t", "12"], ["--t-max", "12"]], ids=["t", "t-max"])
+def test_composed_table_refused_before_output(steps, capsys, tmp_path):
+    # radius 24: 2^25 composed-table cells, though only 2^25 preimages of 1
+    out_path = tmp_path / "out.csv"
+    argv = ["measure", "pushforward", "2 2 01101001", "--measure", "bernoulli:1/3",
+            "--word", "1", *steps, "--out", str(out_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "composed rule table of 2^25 cells exceeds limit 8388608" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
 

@@ -310,6 +310,195 @@ class TestParamsValidity:
             check_swap_params(params)
 
 
+# Reference implementations: rank and unrank one bit at a time, and the
+# count table one cell at a time.  The engine visits only the 1s and adds
+# whole rows; these read their own table, or the engine's once its layers
+# are shown equal.
+
+
+def reference_layers(pattern, cap, length):
+    delta = interval_swap._factor_automaton(pattern)
+    m = len(pattern)
+    layers = [[[1] for _ in range(m)]]
+    for j in range(1, length + 1):
+        prev = layers[-1]
+        tp = min(j - 1, cap)
+        layer = []
+        for s in range(m):
+            s0, s1 = delta[s]
+            p0 = prev[s0] if s0 < m else None
+            p1 = prev[s1] if s1 < m else None
+            row = []
+            for t in range(min(j, cap) + 1):
+                v = 0
+                if p0 is not None:
+                    v += p0[t if t <= tp else tp]
+                if p1 is not None and t >= 1:
+                    v += p1[t - 1 if t - 1 <= tp else tp]
+                row.append(v)
+            layer.append(row)
+        layers.append(layer)
+    return layers
+
+
+def reference_count(layers, j, s, lo, hi):
+    def count_le(t):
+        if t < 0:
+            return 0
+        row = layers[j][s]
+        return row[t] if t < len(row) else row[-1]
+
+    return count_le(hi) - count_le(lo - 1)
+
+
+def reference_rank(pattern, layers, word, lo, hi):
+    delta = interval_swap._factor_automaton(pattern)
+    m = len(pattern)
+    rank = s = w = 0
+    for i, ch in enumerate(word):
+        j = len(word) - 1 - i
+        s0, s1 = delta[s]
+        if ch == "1":
+            if s0 < m:
+                rank += reference_count(layers, j, s0, lo - w, hi - w)
+            w += 1
+            s = s1
+        elif ch == "0":
+            s = s0
+        else:
+            raise ValueError(f"not a binary word: {word!r}")
+        if s >= m:
+            raise ValueError("word contains the avoided pattern")
+    if not lo <= w <= hi:
+        raise ValueError(f"weight {w} outside [{lo}, {hi}]")
+    return rank
+
+
+def reference_unrank(pattern, layers, length, index, lo, hi):
+    total = reference_count(layers, length, 0, lo, hi)
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} out of range [0, {total})")
+    delta = interval_swap._factor_automaton(pattern)
+    m = len(pattern)
+    out = []
+    s = w = 0
+    for i in range(length):
+        j = length - 1 - i
+        s0, s1 = delta[s]
+        c0 = reference_count(layers, j, s0, lo - w, hi - w) if s0 < m else 0
+        if index < c0:
+            out.append("0")
+            s = s0
+        else:
+            index -= c0
+            out.append("1")
+            w += 1
+            s = s1
+    assert index == 0 and lo <= w <= hi
+    return "".join(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def draw_index(rng, total):
+    """An index below total from enough 64-bit draws (below() stops at 2^64)."""
+    value = 0
+    for _ in range(total.bit_length() // 64 + 2):
+        value = value << 64 | rng.next64()
+    return value % total
+
+
+class TestAgainstPerBitOracle:
+    @pytest.mark.parametrize(
+        "pattern, cap",
+        [("10100", 0), ("10100", 4), ("10100", 159), ("0", 3), ("01", 0), ("01", 6),
+         ("11", 2), ("1", 5)],
+    )
+    def test_layers_match_cell_by_cell_build(self, pattern, cap):
+        engine = interval_swap._MarkerEngine(pattern, cap)
+        engine.ensure(70)
+        assert engine.layers == reference_layers(pattern, cap, 70)
+
+    @pytest.mark.parametrize("length", [195, 1000, 5318])
+    def test_canonical_unrank_and_rank(self, length):
+        engine = _params_engine(CANON, length)
+        lo, hi = weight_bounds(length, CANON.p)
+        total = sparse_count(CANON, length)
+        rng = SplitMix64(length)
+        for idx in [0, total - 1] + [draw_index(rng, total) for _ in range(20)]:
+            word = unrank_sparse(CANON, length, idx)
+            expected = reference_unrank(CANON.marker, engine.layers, length, idx, lo, hi)
+            assert word == expected
+            assert rank_sparse(CANON, word) == idx
+            assert reference_rank(CANON.marker, engine.layers, word, lo, hi) == idx
+
+    @pytest.mark.parametrize(
+        "pattern, length, lo, hi",
+        [("0", 4, 2, 4), ("01", 14, 1, 4), ("11", 14, 1, 4), ("10100", 14, 1, 4)],
+    )
+    def test_results_and_errors_match(self, pattern, length, lo, hi):
+        # a 0 keeps no state of "0", state 1 of "01" and state 0 of the others
+        layers = reference_layers(pattern, hi, length)
+        total = reference_count(layers, length, 0, lo, hi)
+        assert count_avoiding(pattern, length, lo, hi) == total
+        for idx in (-1, 0, total // 2, total - 1, total):
+            assert outcome(unrank_avoiding, pattern, length, idx, lo, hi) == outcome(
+                reference_unrank, pattern, layers, length, idx, lo, hi
+            )
+        words = [
+            pattern,  # a pattern member
+            "1" * (lo - 1),  # just below the band
+            "0" * length,  # weight 0, below the band (or the pattern "0")
+            "1" * length,  # weight above the band (or the pattern "11")
+            "0" + pattern + "2",  # the pattern comes before the bad character
+            "2" + pattern,  # the bad character comes first
+            pattern[:-1] + "x" + pattern[-1],
+        ]
+        rng = SplitMix64(len(pattern))
+        words += [reference_unrank(pattern, layers, length, rng.below(total), lo, hi)
+                  for _ in range(30)]
+        for word in words:
+            assert outcome(rank_avoiding, pattern, word, lo, hi) == outcome(
+                reference_rank, pattern, layers[: len(word) + 1], word, lo, hi
+            ), word
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: count_avoiding("10100", 10**6, 0, 10**5),
+            lambda: rank_avoiding("10100", "0" * 10**6, 0, 10**5),
+            lambda: unrank_avoiding("10100", 10**6, 0, 0, 10**5),
+        ],
+        ids=["count", "rank", "unrank"],
+    )
+    def test_oversize_table_refused_at_once(self, call):
+        with pytest.raises(ValueError, match="count table of .* cells exceeds limit"):
+            call()
+        assert not interval_swap._ENGINES
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sparse_count(CANON, 10**6),
+            lambda: rank_sparse(CANON, "0" * 10**6),
+            lambda: unrank_sparse(CANON, 10**6, 0),
+        ],
+        ids=["count", "rank", "unrank"],
+    )
+    def test_oversize_sparse_table_refused_and_cached_one_kept(self, call):
+        engine = _params_engine(CANON, 200)
+        built = len(engine.layers)
+        with pytest.raises(ValueError, match="cells exceeds limit"):
+            call()
+        assert list(interval_swap._ENGINES.values()) == [engine]
+        assert len(engine.layers) == built
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

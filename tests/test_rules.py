@@ -257,6 +257,19 @@ class TestCompose:
                 expected = image_compose(expected, rule)
                 assert self_compose(rule, t) == expected
 
+    def test_composed_size_guard(self, monkeypatch):
+        # XOR has radius 1: its t-fold table has 2^(t+1) cells
+        monkeypatch.setattr(rules, "MAX_COMPOSED_CELLS", 1 << 9)
+        assert self_compose(XOR, 8).r == 8
+        with pytest.raises(ValueError, match=r"2\^10 cells exceeds limit 512"):
+            self_compose(XOR, 9)
+        monkeypatch.undo()
+        rules.check_composed_size(2, 2, 11)  # 2^23 cells: the limit itself
+        with pytest.raises(ValueError, match=r"2\^25 cells"):
+            rules.check_composed_size(2, 2, 12)
+        with pytest.raises(ValueError, match=r"36\^2000000001 cells"):
+            rules.check_composed_size(36, 2, 10**9)
+
 
 class TestBalance:
     def test_xor_balanced(self):
