@@ -353,6 +353,8 @@ def _cmd_fn_apply(args) -> int:
 
 
 def _cmd_xor_limit(args) -> int:
+    if not args.word or args.word.strip("01"):
+        raise ValueError(f"--word must be a nonempty binary word, got {args.word!r}")
     params = block_sampler.BlockMeasureParams(levels=args.levels, alpha=args.alpha)
     sampler = block_sampler.BlockSampler(params)
     if args.n_values:

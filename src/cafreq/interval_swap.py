@@ -18,11 +18,14 @@ code words that are themselves marker-free: code words ending in a set code
 bit directly before a zero tail of length >= 2 contain (10)^2 0 for n = 2,
 so the naive full code family would break both properties.
 
-Ranking and counting use a DP over (position, weight, marker-automaton
-state) with big-integer counts, shared across all lengths via a lazily
-grown suffix table.  Rank and unrank cost O(weight * log length) table
-lookups: along a run of zeros the automaton soon reaches a state that a 0
-leaves unchanged, and from there the whole run is found by one search.
+Sparse ranking and counting use a DP over (position, weight,
+marker-automaton state) with big-integer counts, shared across all lengths
+via a lazily grown suffix table, the one table a process holds.  Rank and
+unrank cost O(weight * log length) table lookups: along a run of zeros the
+automaton soon reaches a state that a 0 leaves unchanged, and from there
+the whole run is found by one search.  The marker-free code words need no
+table: they are the code words whose code bits are free bits followed by a
+fixed suffix, so a safe rank is the free bits read as a binary number.
 """
 
 from __future__ import annotations
@@ -160,13 +163,12 @@ def _check_table_size(states: int, length: int, cap: int) -> None:
 
 
 class _MarkerEngine:
-    """Shared DP tables for one avoided pattern and one weight cap.
+    """The count table of one avoided pattern and one weight cap.
 
     `layers[j][s][t]` counts pattern-free binary words of length j, read
     from automaton state s, with at most t ones (t clamped at the cap).
     Layers grow lazily and a row is never changed once built, so layers may
-    share rows; code tables for the dense family are per tail length (rem in
-    0..3) and grow by block count.
+    share rows.
     """
 
     def __init__(self, pattern: str, max_weight: int):
@@ -179,23 +181,6 @@ class _MarkerEngine:
         self.layers: list[list[list[int]]] = [
             [[1] for _ in range(self.states)]
         ]
-        # code word scaffolding: advance through "110b" blocks and a 0-tail
-        self._block_step: list[list[Optional[int]]] = []
-        for s in range(self.states):
-            row: list[Optional[int]] = []
-            for bit in "01":
-                row.append(self._advance(s, "110" + bit))
-            self._block_step.append(row)
-        self._code_layers: dict[int, list[list[int]]] = {}
-
-    def _advance(self, state: int, text: str) -> Optional[int]:
-        for ch in text:
-            state = self.delta[state][ch == "1"]
-            if state >= self.states:
-                return None
-        return state
-
-    # -- sparse side -------------------------------------------------------
 
     def ensure(self, length: int) -> None:
         if len(self.layers) > length:
@@ -350,84 +335,6 @@ class _MarkerEngine:
         assert index == 0 and lo <= w <= hi
         return "".join(out)
 
-    # -- dense (code word) side ---------------------------------------------
-
-    def _ensure_code(self, rem: int, blocks: int) -> list[list[int]]:
-        layers = self._code_layers.get(rem)
-        if layers is None:
-            base = []
-            for s in range(self.states):
-                alive = self._advance(s, "0" * rem)
-                base.append(1 if alive is not None else 0)
-            layers = [base]
-            self._code_layers[rem] = layers
-        while len(layers) <= blocks:
-            prev = layers[-1]
-            layer = []
-            for s in range(self.states):
-                v = 0
-                for bit in (0, 1):
-                    nxt = self._block_step[s][bit]
-                    if nxt is not None:
-                        v += prev[nxt]
-                layer.append(v)
-            layers.append(layer)
-        return layers
-
-    def safe_dense_count(self, length: int) -> int:
-        blocks, rem = divmod(length, 4)
-        return self._ensure_code(rem, blocks)[blocks][0]
-
-    def rank_dense_safe(self, word: str) -> int:
-        bits = _dense_code_bits(word)
-        if bits is None:
-            raise ValueError("not a dense code word")
-        return self._rank_code_bits(bits, len(word) % 4)
-
-    def _rank_code_bits(self, bits: str, rem: int) -> int:
-        """Rank of the code word with these code bits and a 0-tail of rem."""
-        blocks = len(bits)
-        layers = self._ensure_code(rem, blocks)
-        rank = 0
-        s = 0
-        for i, bit in enumerate(bits):
-            remaining = blocks - 1 - i
-            s0 = self._block_step[s][0]
-            if bit == "1":
-                if s0 is not None:
-                    rank += layers[remaining][s0]
-                s = self._block_step[s][1]
-            else:
-                s = s0
-            if s is None:
-                raise ValueError("code word contains the avoided pattern")
-        if self._advance(s, "0" * rem) is None:
-            raise ValueError("code word contains the avoided pattern")
-        return rank
-
-    def unrank_dense_safe(self, length: int, index: int) -> str:
-        blocks, rem = divmod(length, 4)
-        layers = self._ensure_code(rem, blocks)
-        if not 0 <= index < layers[blocks][0]:
-            raise ValueError(
-                f"index {index} out of range [0, {layers[blocks][0]})"
-            )
-        s = 0
-        bits = []
-        for i in range(blocks):
-            remaining = blocks - 1 - i
-            s0 = self._block_step[s][0]
-            c0 = layers[remaining][s0] if s0 is not None else 0
-            if index < c0:
-                bits.append("0")
-                s = s0
-            else:
-                index -= c0
-                bits.append("1")
-                s = self._block_step[s][1]
-        assert index == 0
-        return "".join("110" + b for b in bits) + "0" * rem
-
 
 #: the most recently used engine only: a count table can take hundreds of MB
 _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
@@ -522,26 +429,66 @@ def rank_dense(word: str) -> int:
     return int(bits, 2) if bits else 0
 
 
+def _dense_word(index: int, free: int, suffix: str, rem: int) -> str:
+    """Code word whose code bits are the index in `free` digits, then suffix."""
+    bits = (format(index, f"0{free}b") if free else "") + suffix
+    return "".join("110" + b for b in bits) + "0" * rem
+
+
 def unrank_dense(length: int, index: int) -> str:
     """Dense code word of the length whose code bits spell the index."""
     blocks, rem = divmod(length, 4)
     if not 0 <= index < (1 << blocks):
         raise ValueError(f"index {index} out of range [0, {1 << blocks})")
-    bits = format(index, f"0{blocks}b") if blocks else ""
-    return "".join("110" + b for b in bits) + "0" * rem
+    return _dense_word(index, blocks, "", rem)
+
+
+def _safe_code_shape(n: int, length: int) -> Optional[tuple[int, str]]:
+    """Marker-free dense code words of the length as (free, suffix), or None.
+
+    They are the code words whose code bits are `free` arbitrary bits
+    followed by `suffix`.  For n >= 2 the marker (10)^n 0 needs the factor
+    1010, which a code word holds only where a last code bit 1 meets the
+    0-tail; (10)^2 0 also needs two tail zeros, and (10)^3 0 fits nowhere.
+    For n = 1 the marker 100 ends at every code bit 0, and at the second
+    tail zero after a last code bit 1.
+    """
+    blocks, rem = divmod(length, 4)
+    if n >= 3 or blocks == 0 or (n == 2 and rem < 2):
+        return blocks, ""
+    if n == 2:
+        return blocks - 1, "0"
+    return (0, "1" * blocks) if rem < 2 else None
 
 
 def safe_dense_count(params: SwapParams, length: int) -> int:
     """Dense code words of the length that avoid the marker."""
-    return _params_engine(params).safe_dense_count(length)
+    shape = _safe_code_shape(params.n, length)
+    return 0 if shape is None else 1 << shape[0]
+
+
+def _rank_safe_code_bits(n: int, bits: str, rem: int) -> int:
+    """Rank among the marker-free code words of these code bits and rem."""
+    shape = _safe_code_shape(n, 4 * len(bits) + rem)
+    if shape is None or not bits.endswith(shape[1]):
+        raise ValueError("code word contains the avoided pattern")
+    free = shape[0]
+    return int(bits[:free], 2) if free else 0
 
 
 def rank_dense_safe(params: SwapParams, word: str) -> int:
-    return _params_engine(params).rank_dense_safe(word)
+    bits = _dense_code_bits(word)
+    if bits is None:
+        raise ValueError("not a dense code word")
+    return _rank_safe_code_bits(params.n, bits, len(word) % 4)
 
 
 def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
-    return _params_engine(params).unrank_dense_safe(length, index)
+    total = safe_dense_count(params, length)
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} out of range [0, {total})")
+    free, suffix = _safe_code_shape(params.n, length)
+    return _dense_word(index, free, suffix, length % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +595,11 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
                 f"weight bound fails at free length {l}: "
                 f"3*l*p/2 = {Fraction(3 * l) * params.p / 2} >= {2 * (l // 4)}"
             )
-        elif engine.count(l, lo, hi) > engine.safe_dense_count(l):
+        elif engine.count(l, lo, hi) > safe_dense_count(params, l):
             reasons.append(
                 f"injectivity fails at free length {l}: "
                 f"{engine.count(l, lo, hi)} sparse words vs "
-                f"{engine.safe_dense_count(l)} safe dense words"
+                f"{safe_dense_count(params, l)} safe dense words"
             )
         if len(reasons) >= 3:
             break
@@ -699,7 +646,7 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
         bits = _dense_code_bits(v)
         if bits is not None:
             try:
-                idx = engine._rank_code_bits(bits, l % 4)
+                idx = _rank_safe_code_bits(params.n, bits, l % 4)
             except ValueError:
                 continue  # code word containing the marker cannot occur here
             if idx < engine.count(l, lo, hi):
@@ -707,7 +654,7 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
                 to_sparse += 1
         elif lo <= v.count("1") <= hi:
             idx = engine.rank(v, lo, hi)
-            out[a + mlen : b] = engine.unrank_dense_safe(l, idx)
+            out[a + mlen : b] = unrank_dense_safe(params, l, idx)
             to_dense += 1
             dense_spans.append((a + mlen, b))
     stats = SwapStats(
@@ -808,6 +755,10 @@ def run_swap_trials(
     conservation, and the absence of 1111 inside freshly coded free parts.
     Results are independent of the job count.
     """
+    if count < 0:
+        raise ValueError(f"window count {count} is negative")
+    if window_length is not None and window_length < 0:
+        raise ValueError(f"window length {window_length} is negative")
     report = check_swap_params(params)
     if not report.valid:
         raise ValueError("invalid swap parameters: " + "; ".join(report.reasons))

@@ -63,14 +63,27 @@ class SplitMix64:
         return self.next64() >> 63
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
+        """Uniform integer in [0, n), unbiased via rejection.
+
+        A candidate is k draws read as one number, the first most
+        significant, with k the least such that 2^(64k) >= n; k = 1 for
+        every n <= 2^64, which keeps one draw per candidate there.
+        """
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         if n == 1:
             return 0
-        limit = (1 << 64) - ((1 << 64) % n)
+        k = 1
+        limit = (1 << 64) - (1 << 64) % n
+        while not limit:  # 2^(64k) < n: every candidate would be rejected
+            k += 1
+            span = 1 << (64 * k)
+            limit = span - span % n
         while True:
             r = self.next64()
+            if k > 1:
+                for _ in range(k - 1):
+                    r = r << 64 | self.next64()
             if r < limit:
                 return r % n
 

@@ -475,6 +475,41 @@ def test_xor_limit_level_out_of_range_refused_before_output(n_value, capsys, tmp
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("word", ["12", "", "1a0"], ids=["digit", "empty", "letter"])
+def test_xor_limit_bad_word_refused_before_output(word, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    argv = ["xor-limit", "--levels", "3", "--samples", "2", "--word", word]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"--word must be a nonempty binary word, got {word!r}" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_xor_limit_alpha_beyond_64_bits(capsys):
+    # alpha's denominator 2^64 + 1 needs two 64-bit draws per uniform index
+    argv = ["xor-limit", "--levels", "3", "--alpha", "1/18446744073709551617",
+            "--samples", "2", "--n-values", "1"]
+    assert main(argv) == 0
+    assert "n=1 (t=2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--windows", "-2", "window count -2 is negative"),
+     ("--window-length", "-5", "window length -5 is negative")],
+    ids=["windows", "window-length"],
+)
+def test_fn_apply_negative_size_refused_before_output(flag, value, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    argv = ["fn", "apply", "--n", "2", "--p", "1/36", flag, value, "--jobs", "1"]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 SPAWN_SCRIPT = """
 import multiprocessing
 import sys

@@ -142,6 +142,12 @@ class TestSparseFamily:
             assert CANON.marker not in w
 
 
+def safe_family(params, length):
+    """Marker-free words of the full dense family, in lexicographic order."""
+    words = (unrank_dense(length, idx) for idx in range(dense_size(length)))
+    return sorted(w for w in words if params.marker not in w)
+
+
 class TestDenseFamily:
     def test_spec_words(self):
         assert unrank_dense(8, 2) == "11011100"
@@ -169,20 +175,46 @@ class TestDenseFamily:
             rank_dense_safe(CANON, "110100")
         assert unrank_dense_safe(CANON, 6, 0) == "110000"
 
-    def test_safe_count_matches_brute_force(self):
-        for length in range(0, 17):
-            expected = 0
-            for idx in range(dense_size(length)):
-                if CANON.marker not in unrank_dense(length, idx):
-                    expected += 1
-            assert safe_dense_count(CANON, length) == expected
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_safe_count_matches_brute_force(self, n):
+        params = SwapParams(n, CANON.p)
+        for length in range(41):
+            assert safe_dense_count(params, length) == len(safe_family(params, length))
 
-    def test_safe_roundtrip(self):
-        for length in (11, 12, 14, 19):
-            for idx in range(safe_dense_count(CANON, length)):
-                w = unrank_dense_safe(CANON, length, idx)
-                assert CANON.marker not in w
-                assert rank_dense_safe(CANON, w) == idx
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_safe_roundtrip(self, n):
+        params = SwapParams(n, CANON.p)
+        for length in range(41):
+            family = safe_family(params, length)
+            for idx, w in enumerate(family):
+                assert unrank_dense_safe(params, length, idx) == w
+                assert rank_dense_safe(params, w) == idx
+            for bad in (-1, len(family)):
+                with pytest.raises(ValueError, match="out of range"):
+                    unrank_dense_safe(params, length, bad)
+            for idx in range(dense_size(length)):
+                w = unrank_dense(length, idx)
+                if params.marker in w:
+                    with pytest.raises(ValueError, match="avoided pattern"):
+                        rank_dense_safe(params, w)
+
+    def test_safe_family_at_a_million_cells(self):
+        assert safe_dense_count(CANON, 10**6) == 1 << 250000
+        length = 10**6 + 2  # the last code bit is fixed to 0
+        total = safe_dense_count(CANON, length)
+        assert total == 1 << 249999
+        word = unrank_dense_safe(CANON, length, total - 1)
+        assert word.endswith("1101" + "1100" + "00")
+        assert rank_dense_safe(CANON, word) == total - 1
+
+    def test_dense_calls_leave_the_engine_cache_alone(self):
+        sparse_count(CANON, 300)
+        cached = dict(interval_swap._ENGINES)
+        other = SwapParams(2, Fraction(1, 36))
+        for length in (195, 1000):
+            idx = safe_dense_count(other, length) - 1
+            assert rank_dense_safe(other, unrank_dense_safe(other, length, idx)) == idx
+        assert interval_swap._ENGINES == cached
 
 
 class TestDecomposition:
@@ -405,14 +437,6 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
-def draw_index(rng, total):
-    """An index below total from enough 64-bit draws (below() stops at 2^64)."""
-    value = 0
-    for _ in range(total.bit_length() // 64 + 2):
-        value = value << 64 | rng.next64()
-    return value % total
-
-
 class TestAgainstPerBitOracle:
     @pytest.mark.parametrize(
         "pattern, cap",
@@ -430,7 +454,7 @@ class TestAgainstPerBitOracle:
         lo, hi = weight_bounds(length, CANON.p)
         total = sparse_count(CANON, length)
         rng = SplitMix64(length)
-        for idx in [0, total - 1] + [draw_index(rng, total) for _ in range(20)]:
+        for idx in [0, total - 1] + [rng.below(total) for _ in range(20)]:
             word = unrank_sparse(CANON, length, idx)
             expected = reference_unrank(CANON.marker, engine.layers, length, idx, lo, hi)
             assert word == expected
@@ -532,6 +556,18 @@ class TestTrials:
         again = run_swap_trials(CANON, 3, seed=9, window_length=1200)
         assert trials == again
         assert all(t.involution_ok and t.occurrences_conserved for t in trials)
+
+    @pytest.mark.parametrize(
+        "count, window_length", [(-2, None), (3, -5)], ids=["count", "window-length"]
+    )
+    def test_negative_sizes_refused_before_any_table(self, count, window_length, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reached a table or a worker")
+
+        for name in ("check_swap_params", "_params_engine", "map_ranges"):
+            monkeypatch.setattr(interval_swap, name, unreachable)
+        with pytest.raises(ValueError, match="negative"):
+            run_swap_trials(CANON, count, seed=0, window_length=window_length)
 
     def test_jobs_do_not_change_results(self):
         one = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=1)

@@ -48,6 +48,22 @@ class TestStream:
         assert set(values) <= set(range(7))
         assert len(set(values)) == 7
 
+    def test_below_stream_is_unchanged(self):
+        # recorded before bounds above 2^64 were supported
+        rng = SplitMix64(1)
+        assert [rng.below(7) for _ in range(12)] == [2, 0, 1, 0, 5, 2, 0, 3, 1, 4, 1, 2]
+        rng = SplitMix64(5)
+        assert rng.below(2**64) == 7134611160154358618
+        assert rng.state == (5 + GOLDEN) & MASK64  # no rejection at 2^64: one draw
+
+    @pytest.mark.parametrize("n, draws", [(2**64 + 1, 2), (2**200, 4)])
+    def test_below_beyond_64_bits(self, n, draws):
+        rng = SplitMix64(1)
+        values = [rng.below(n) for _ in range(50)]
+        assert all(0 <= v < n for v in values)
+        # these bounds reject a candidate with probability 2^-128 or 0
+        assert rng.state == (1 + 50 * draws * GOLDEN) & MASK64
+
     def test_below_invalid(self):
         with pytest.raises(ValueError):
             SplitMix64(0).below(0)
