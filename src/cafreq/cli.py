@@ -230,6 +230,14 @@ def _sweep_averages(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # a value below these searches nothing and would report vacuous results
+    for flag, value, least in (("--r", args.r, 0), ("--max-period", args.max_period, 1),
+                               ("--m-max", args.m_max, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if args.check == "averages" or not args.rules_file:
+        for r in range(args.r + 1):  # every radius's refusal comes before any enumeration
+            rules.check_rule_space(args.q, r, args.limit)
     if args.check == "averages":
         return _sweep_averages(args)
     columns, rows_fn = SWEEP_CHECKS[args.check]
@@ -345,9 +353,10 @@ def _cmd_fn_apply(args) -> int:
         for t in trials
     )
     rewritten = sum(t.to_dense + t.to_sparse for t in trials)
+    length = 3 * params.medium_bound if args.window_length is None else args.window_length
     print(
         f"{len(trials)} windows, {rewritten} rewrites, {bad} failures "
-        f"(seed={args.seed}, length={args.window_length or 3 * params.medium_bound})"
+        f"(seed={args.seed}, length={length})"
     )
     return 1 if bad else 0
 

@@ -27,6 +27,13 @@ MAX_ALPHABET = len(DIGITS)
 #: refuse to enumerate rule spaces larger than this (tables, not rules tested)
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
 
+#: refuse rule spaces of this many tables or more: indices are decoded in int64
+MAX_RULE_TABLES = 1 << 63
+
+#: the surjective-rule enumeration decodes table indices in chunks whose
+#: largest array holds about this many entries
+PREFILTER_CELLS = 1 << 14
+
 #: the surjectivity search keeps one byte per pair of de Bruijn words
 MAX_PAIR_VERTICES = 1 << 18
 
@@ -372,8 +379,73 @@ def enumerate_rules(
         yield LocalRule(q, r, table)
 
 
+def check_rule_space(q: int, r: int, limit: int) -> int:
+    """The size of the radius-r rule space, refused unless it can be enumerated.
+
+    Beyond the `limit` check this refuses an alphabet size outside
+    [2, MAX_ALPHABET], a negative radius, and a space of 2^63 or more
+    tables, whose indices int64 cannot hold.
+    """
+    count = _checked_rule_count(q, r, limit)
+    if not 2 <= q <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    if count >= MAX_RULE_TABLES:
+        raise ValueError(
+            f"rule space of size q^(q^(r+1)) = {count} has 2^63 or more tables, "
+            f"too many to index"
+        )
+    return count
+
+
+def _words_balanced(q: int, r: int, tables: np.ndarray, length: int) -> np.ndarray:
+    """Which rows of `tables` give every word of `length` cells q^r preimages.
+
+    Each row is one rule table.  Preimage word w of length + r cells has
+    image cell j from the neighborhood w[j : j+r+1]; one bincount, offset
+    per row, counts the images.
+    """
+    rows = len(tables)
+    words = q**length
+    w = np.arange(q ** (r + length), dtype=np.int64)
+    image = np.zeros((rows, len(w)), dtype=np.int64)
+    for j in range(length):
+        image *= q
+        image += tables[:, w // q ** (length - 1 - j) % q ** (r + 1)]
+    image += np.arange(rows, dtype=np.int64)[:, None] * words
+    counts = np.bincount(image.ravel(), minlength=rows * words)
+    return (counts.reshape(rows, words) == q**r).all(axis=1)
+
+
+def _balanced_tables(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The tables among indices lo..hi-1 balanced on words of lengths 2 and 3.
+
+    Yields one array of table rows, in index order, per chunk of indices.
+    A chunk's largest array holds about PREFILTER_CELLS entries.
+    """
+    place = q ** np.arange(q ** (r + 1) - 1, -1, -1, dtype=np.int64)
+    step = max(1, PREFILTER_CELLS // q ** (r + 3))
+    for start in range(lo, hi, step):
+        index = np.arange(start, min(start + step, hi), dtype=np.int64)
+        tables = index[:, None] // place % q
+        tables = tables[_words_balanced(q, r, tables, 2)]
+        yield tables[_words_balanced(q, r, tables, 3)]
+
+
 def _surjective_in_range(q: int, r: int, limit: int, lo: int, hi: int) -> list:
-    rules = itertools.islice(enumerate_rules(q, r, limit), lo, hi)
+    """The surjective rules among table indices lo..hi-1, in table order.
+
+    Surjectivity forces balance at every word length (Hedlund 1969), so
+    only the tables balanced on words of lengths 2 and 3 are built and
+    searched: 974 of the 65,536 binary radius-3 tables.
+    """
+    check_rule_space(q, r, limit)
+    rules = (
+        LocalRule(q, r, tuple(table))
+        for chunk in _balanced_tables(q, r, lo, hi)
+        for table in chunk.tolist()
+    )
     return [rule for rule in rules if is_surjective(rule)]
 
 
@@ -387,9 +459,9 @@ def surjective_rules(
 
     The filter runs on `jobs` workers (see `map_ranges`); the result does
     not depend on `jobs`.  Refuses rule spaces larger than `limit` tables,
-    cached or not.
+    cached or not, and every space `check_rule_space` refuses.
     """
-    count = _checked_rule_count(q, r, limit)
+    count = check_rule_space(q, r, limit)
     if (q, r) not in _SURJECTIVE_RULES:
         parts = map_ranges(_surjective_in_range, count, jobs, q, r, limit)
         _SURJECTIVE_RULES[q, r] = tuple(rule for part in parts for rule in part)

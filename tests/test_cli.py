@@ -510,6 +510,65 @@ def test_fn_apply_negative_size_refused_before_output(flag, value, message, caps
     assert not out_path.exists()
 
 
+def test_fn_apply_reports_the_window_length_used(capsys):
+    argv = ["fn", "apply", "--n", "2", "--p", "1/36", "--windows", "2", "--jobs", "1"]
+    assert main([*argv, "--window-length", "0"]) == 0
+    assert capsys.readouterr().out.endswith("(seed=0, length=0)\n")
+    assert main([*argv, "--window-length", "500"]) == 0
+    assert capsys.readouterr().out.endswith("(seed=0, length=500)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "-1", "--check", "one_domination"], "--r must be at least 0, got -1"),
+        (["--r", "1", "--check", "conservation", "--max-period", "0"],
+         "--max-period must be at least 1, got 0"),
+        (["--r", "1", "--check", "conservation", "--max-period", "-3"],
+         "--max-period must be at least 1, got -3"),
+        (["--r", "1", "--check", "high_domination", "--m-max", "-1"],
+         "--m-max must be at least 0, got -1"),
+    ],
+    ids=["r", "max-period-0", "max-period-negative", "m-max"],
+)
+def test_sweep_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    assert main(["sweep", "--q", "2", *argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "2", "--r", "5", "--limit", str(1 << 70)],
+         "q^(q^(r+1)) = 18446744073709551616 has 2^63 or more tables"),
+        (["--q", "2", "--r", "5"], "q^(q^(r+1)) = 4294967296 exceeds limit 67108864"),
+        (["--q", "1", "--r", "0"], "alphabet size must be in [2, 36]"),
+        (["--q", "0", "--r", "1"], "alphabet size must be in [2, 36]"),
+        (["--q", "37", "--r", "0"], "exceeds limit 67108864"),
+        (["--q", "2", "--r", "14", "--check", "averages"],
+         "q^(q^(r+1)) = 4294967296 exceeds limit 67108864"),
+    ],
+    ids=["index-space", "limit", "q1", "q0", "q37", "averages"],
+)
+def test_sweep_rule_space_refused_before_enumeration(argv, message, capsys, tmp_path, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a rule space was enumerated before the refusal")
+
+    monkeypatch.setattr(cafreq.rules, "map_ranges", no_enumeration)
+    if "--check" not in argv:
+        argv = [*argv, "--check", "one_domination"]
+    out_path = tmp_path / "out.csv"
+    assert main(["sweep", *argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 SPAWN_SCRIPT = """
 import multiprocessing
 import sys

@@ -450,6 +450,70 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="exceeds limit"):
             surjective_rules(2, 1, limit=15)
 
+    @pytest.mark.parametrize("q, r", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    def test_prefilter_keeps_tables_balanced_at_lengths_2_and_3(self, q, r):
+        # oracle: preimage counts of every word of length 2 and 3
+        kept = {
+            tuple(table)
+            for chunk in rules._balanced_tables(q, r, 0, rule_count(q, r))
+            for table in chunk.tolist()
+        }
+        expected = {
+            rule.table
+            for rule in enumerate_rules(q, r)
+            if all(
+                len(preimages(rule, u)) == q**r
+                for n in (2, 3)
+                for u in all_words(q, n)
+            )
+        }
+        assert kept == expected
+
+    @pytest.mark.parametrize("q, r", [(2, 3), (3, 1), (4, 0), (5, 0)])
+    def test_surjective_rules_match_filtered_enumeration(self, q, r, monkeypatch):
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        expected = tuple(rule for rule in enumerate_rules(q, r) if is_surjective(rule))
+        assert surjective_rules(q, r) == expected
+
+    @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1000, 40001)), (3, 1, (500, 9999))])
+    def test_uneven_ranges_concatenate_to_the_whole(self, q, r, cuts):
+        # the cuts fall inside prefilter chunks (256 tables at (2, 3), 202 at (3, 1))
+        count = rule_count(q, r)
+        bounds = (0, *cuts, count)
+        parts = [
+            rules._surjective_in_range(q, r, count, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert all(parts)
+        assert tuple(itertools.chain(*parts)) == surjective_rules(q, r)
+
+    def test_index_space_refused_at_2_to_the_63(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("map_ranges ran on an unindexable rule space")
+
+        monkeypatch.setattr(rules, "map_ranges", no_pool)
+        assert rules.check_rule_space(15, 0, 1 << 70) == 15**15
+        for q, r in ((2, 5), (16, 0)):
+            with pytest.raises(ValueError, match=r"2\^63 or more tables"):
+                surjective_rules(q, r, limit=1 << 70)
+
+    @pytest.mark.parametrize(
+        "q, limit, message",
+        [
+            (0, None, r"alphabet size must be in \[2, 36\]"),
+            (1, None, r"alphabet size must be in \[2, 36\]"),
+            (-1, None, r"alphabet size must be in \[2, 36\]"),
+            (37, None, "exceeds limit 67108864"),
+            (37, 1 << 300, r"alphabet size must be in \[2, 36\]"),
+        ],
+    )
+    def test_alphabet_size_refused(self, q, limit, message):
+        limit = limit or rules.DEFAULT_ENUMERATION_LIMIT
+        with pytest.raises(ValueError, match=message):
+            surjective_rules(q, 0, limit=limit)
+        with pytest.raises(ValueError, match=message):
+            rules._surjective_in_range(q, 0, limit, 0, 1)
+
     def test_lexicographic_order(self):
         tables = [r.table for r in enumerate_rules(2, 1)]
         assert tables == sorted(tables)
