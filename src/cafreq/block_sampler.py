@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .rng import SplitMix64, map_ranges
+from .rules import size_text
 
 __all__ = [
     "triangular",
@@ -172,10 +173,13 @@ def xor_power(window: str, k: int) -> str:
     """
     if k < 0:
         raise ValueError("power must be >= 0")
+    # 2^k > len(window) once k reaches its bit length: refused unbuilt
+    if k >= len(window).bit_length() or len(window) <= 1 << k:
+        raise ValueError(
+            f"window of length {len(window)} too short for lag {size_text(2, k)}"
+        )
     lag = 1 << k
     n = len(window) - lag
-    if n < 1:
-        raise ValueError(f"window of length {len(window)} too short for lag {lag}")
     if any(c not in "01" for c in window):
         raise ValueError("window must be a binary word")
     bits = int(window, 2)

@@ -84,12 +84,10 @@ def _cmd_rule_info(args) -> int:
     print(f"surjective: {rules.is_surjective(rule)}")
     for A in subsets:
         h = correlation.histogram(rule, A, A)
-        c1 = h.moment(1)
-        norm = correlation.normalized_correlation(rule, A, A)
         ident = correlation.identity_correlation(rule.q, len(A), rule.r)
         print(
-            f"A=B={{{_set_label(A)}}}: histogram={h.counts} C={c1} "
-            f"normalized={norm} identity={ident}"
+            f"A=B={{{_set_label(A)}}}: histogram={h.counts} C={h.moment(1)} "
+            f"normalized={h.normalized(1)} identity={ident}"
         )
     return 0
 
@@ -116,7 +114,7 @@ def _cmd_correlate(args) -> int:
     rows = []
     for m in range(args.m + 1):
         raw = h.moment(m)
-        norm = correlation.normalized_correlation(rule, A, B, m)
+        norm = h.normalized(m)
         rows.append(
             (
                 rule.format(),

@@ -21,6 +21,7 @@ from .rules import (
     DEFAULT_ENUMERATION_LIMIT,
     LocalRule,
     _image,
+    check_size,
     enumerate_rules,
     is_surjective,
     symbols_word,
@@ -42,13 +43,6 @@ def normalize_symbols(symbols: SymbolsLike, q: int) -> frozenset[int]:
 #: exhaustive scans over words (histogram neighborhoods, periodic
 #: configurations, finite_correlation inputs) refuse more than this many
 MAX_SCAN_WORDS = 1 << 24
-
-
-def _check_scan(q: int, length: int, what: str) -> None:
-    # q >= 2, so a length past log2(MAX_SCAN_WORDS) is refused without
-    # computing q^length
-    if length >= MAX_SCAN_WORDS.bit_length() or q**length > MAX_SCAN_WORDS:
-        raise ValueError(f"{what} = {q}^{length} exceeds limit {MAX_SCAN_WORDS}")
 
 
 #: scans over every proper symbol set (2^q - 2 of them) refuse larger q
@@ -88,10 +82,30 @@ class Histogram:
         return sum(self.counts)
 
     def moment(self, m: int) -> int:
-        """Order-m moment, with the convention 0^0 = 1."""
-        if m == 0:
-            return self.total
+        """Order-m moment, with the convention 0^0 = 1 (Python's)."""
         return sum(k**m * n for k, n in enumerate(self.counts))
+
+    def normalized(self, m: int = 1) -> Fraction:
+        """Radius-free correlation of order m.
+
+        Computed by solving the radius recursion
+
+            C(rho+1, m) = q * C(rho, m) + |A| * sum_{i<m} comb(m, i) * C(rho, i)
+
+        downward from the histogram's radius to radius 0, one order at a
+        time.  Any radius at or above the rule's gives the same value.  The
+        result is an exact rational and may be negative.
+        """
+        if m < 0:
+            raise ValueError("order must be >= 0")
+        vals = [Fraction(self.moment(i)) for i in range(m + 1)]
+        for _ in range(self.r):
+            lower: list[Fraction] = []
+            for i in range(m + 1):
+                shift = len(self.A) * sum(comb(i, j) * lower[j] for j in range(i))
+                lower.append((vals[i] - shift) / self.q)
+            vals = lower
+        return vals[m]
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ def histogram(
     if r_eff < r:
         raise ValueError(f"effective radius {r_eff} below rule radius {r}")
     width = r_eff + 1
-    _check_scan(q, width, "q^(r_eff+1)")
+    check_size(MAX_SCAN_WORDS, "q^(r_eff+1) = {q}^{e}", q, width)
     Aset = normalize_symbols(A, q)
     Bset = normalize_symbols(B, q)
     drop = q ** (r_eff - r)
@@ -150,38 +164,16 @@ def correlation(
 def normalized_correlation(
     rule: LocalRule, A: SymbolsLike, B: SymbolsLike, m: int = 1
 ) -> Fraction:
-    """Radius-free correlation of order m.
-
-    Computed by solving the radius recursion
-
-        C(rho+1, m) = q * C(rho, m) + |A| * sum_{i<m} comb(m, i) * C(rho, i)
-
-    downward from the rule's own radius to radius 0, one order at a time.
-    The result is an exact rational and may be negative.
-    """
-    if m < 0:
-        raise ValueError("order must be >= 0")
-    q = rule.q
-    a_size = len(normalize_symbols(A, q))
-    h = histogram(rule, A, B)
-    vals = [Fraction(h.moment(i)) for i in range(m + 1)]
-    for _ in range(rule.r):
-        lower: list[Fraction] = []
-        for i in range(m + 1):
-            shift = a_size * sum(comb(i, j) * lower[j] for j in range(i))
-            lower.append((vals[i] - shift) / q)
-        vals = lower
-    return vals[m]
+    """Radius-free correlation of order m (see `Histogram.normalized`)."""
+    return histogram(rule, A, B).normalized(m)
 
 
 def correlation_report(
     rule: LocalRule, A: SymbolsLike, B: SymbolsLike, m: int = 1
 ) -> CorrelationReport:
-    return CorrelationReport(
-        order=m,
-        raw=correlation(rule, A, B, m=m),
-        normalized=normalized_correlation(rule, A, B, m=m),
-    )
+    h = histogram(rule, A, B)
+    normalized = h.normalized(m)  # refuses m < 0
+    return CorrelationReport(order=m, raw=h.moment(m), normalized=normalized)
 
 
 def identity_correlation(q: int, a_size: int, r: int, m: int = 1) -> int:
@@ -214,8 +206,7 @@ def finite_correlation(
     if n < 1:
         raise ValueError("window length must be >= 1")
     q, r = rule.q, rule.r
-    if q ** (n + r) > limit:
-        raise ValueError(f"q^(n+r) = {q ** (n + r)} exceeds limit {limit}")
+    check_size(limit, "q^(n+r) = {size}", q, n + r)
     Aset = normalize_symbols(A, q)
     in_a = [s in Aset for s in range(q)]
     total = 0
@@ -298,19 +289,14 @@ def check_high_domination(
     moments_id = [h_id.moment(m) for m in range(m_max + 1)]
     m_star = None
     for m in range(m_max + 1):
-        lead = diffs[k0] * _power(k0, m)
-        tail = sum(abs(diffs[i]) * _power(i, m) for i in range(k0))
+        lead = diffs[k0] * k0**m
+        tail = sum(abs(diffs[i]) * i**m for i in range(k0))
         if lead <= tail:
             continue
         if all(moments_rule[mm] <= moments_id[mm] for mm in range(m, m_max + 1)):
             m_star = m
             break
     return HighDominationReport(k0=k0, strict_at_k0=strict, m_star=m_star)
-
-
-def _power(base: int, exp: int) -> int:
-    # 0^0 = 1 convention used throughout the histogram moments
-    return 1 if exp == 0 else base**exp
 
 
 @dataclass(frozen=True)
@@ -349,13 +335,19 @@ def average_normalized_correlation(
     B: SymbolsLike,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> Fraction:
-    """Exact average of the normalized correlation over all radius-r rules."""
-    total = Fraction(0)
+    """Exact average of the normalized correlation over all radius-r rules.
+
+    The normalization is linear in the histogram counts, so the counts are
+    summed over every rule and normalized once.
+    """
+    totals = [0] * (r + 2)
     count = 0
     for rule in enumerate_rules(q, r, limit=limit):
-        total += normalized_correlation(rule, A, B)
+        for k, n in enumerate(histogram(rule, A, B).counts):
+            totals[k] += n
         count += 1
-    return total / count
+    Aset, Bset = normalize_symbols(A, q), normalize_symbols(B, q)
+    return Histogram(q, r, Aset, Bset, tuple(totals)).normalized() / count
 
 
 @dataclass(frozen=True)
@@ -392,7 +384,7 @@ def find_conservation_violation(
     Refuses q^max_period > MAX_SCAN_WORDS before scanning.
     """
     q = rule.q
-    _check_scan(q, max_period, "q^max_period")
+    check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
     Aset = normalize_symbols(A, q)
     in_a = [s in Aset for s in range(q)]
     for p in range(1, max_period + 1):

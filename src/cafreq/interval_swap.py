@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .rng import SplitMix64, bernoulli_word, map_ranges
+from .rules import check_size, size_text
 
 __all__ = [
     "SwapParams",
@@ -156,10 +157,7 @@ def _check_table_size(states: int, length: int, cap: int) -> None:
     cap = max(cap, 0)
     k = min(length, cap)
     cells = states * ((k + 1) * (k + 2) // 2 + (length - k) * (cap + 1))
-    if cells > MAX_SWAP_TABLE_CELLS:
-        raise ValueError(
-            f"swap count table of {cells} cells exceeds limit {MAX_SWAP_TABLE_CELLS}"
-        )
+    check_size(MAX_SWAP_TABLE_CELLS, "swap count table of {size} cells", cells)
 
 
 class _MarkerEngine:
@@ -280,7 +278,7 @@ class _MarkerEngine:
         """
         total = self.count(length, lo, hi)
         if not 0 <= index < total:
-            raise ValueError(f"index {index} out of range [0, {total})")
+            raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
         m = self.states
         delta = self.delta
         count_range = self.count_range
@@ -439,7 +437,9 @@ def unrank_dense(length: int, index: int) -> str:
     """Dense code word of the length whose code bits spell the index."""
     blocks, rem = divmod(length, 4)
     if not 0 <= index < (1 << blocks):
-        raise ValueError(f"index {index} out of range [0, {1 << blocks})")
+        raise ValueError(
+            f"index {size_text(index)} out of range [0, {size_text(2, blocks)})"
+        )
     return _dense_word(index, blocks, "", rem)
 
 
@@ -486,7 +486,7 @@ def rank_dense_safe(params: SwapParams, word: str) -> int:
 def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
     total = safe_dense_count(params, length)
     if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range [0, {total})")
+        raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
     free, suffix = _safe_code_shape(params.n, length)
     return _dense_word(index, free, suffix, length % 4)
 

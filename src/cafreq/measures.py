@@ -28,6 +28,7 @@ from .rules import (
     DIGITS,
     LocalRule,
     _preimage_iter,
+    check_size,
     self_compose,
     symbols_word,
     word_symbols,
@@ -192,12 +193,8 @@ def make_measure(spec: MeasureSpec, q: Optional[int] = None) -> CylinderMeasure:
     raise ValueError(f"unknown measure spec {spec!r}")
 
 
-def _check_pushforward_bound(q: int, exponent: int, limit: int) -> None:
-    if q**exponent > limit:
-        raise ValueError(
-            f"preimage enumeration q^{exponent} = {q ** exponent} exceeds "
-            f"limit {limit}"
-        )
+#: the pushforward refusal: a length-e preimage word has q^e candidates
+_PREIMAGES = "preimage enumeration q^{e} = {size}"
 
 
 class _TransferMatrix:
@@ -265,7 +262,7 @@ def pushforward(
     if len(word) < 1:
         raise ValueError("pushforward needs a nonempty word")
     _check_alphabets(rule, mu)
-    _check_pushforward_bound(rule.q, len(word) + rule.r, limit)
+    check_size(limit, _PREIMAGES, rule.q, len(word) + rule.r)
     if not isinstance(mu, ProductMeasure):
         return sum(
             (mu.cylinder(w) for w in _preimage_iter(rule, word)), Fraction(0)
@@ -288,7 +285,7 @@ def iterate_pushforward(
         raise ValueError("step count must be >= 0")
     if t == 0:
         return mu.cylinder(word)
-    _check_pushforward_bound(rule.q, len(word) + t * rule.r, limit)
+    check_size(limit, _PREIMAGES, rule.q, len(word) + t * rule.r)
     return pushforward(self_compose(rule, t), mu, word, limit)
 
 
@@ -365,7 +362,7 @@ def check_uniform_contraction(
     if n < 1:
         raise ValueError("cylinder length must be >= 1")
     q = rule.q
-    _check_pushforward_bound(q, n + rule.r, limit)
+    check_size(limit, _PREIMAGES, q, n + rule.r)
     _check_alphabets(rule, mu)
     if isinstance(mu, ProductMeasure):
         denominator, weights = mu.weights
@@ -436,8 +433,7 @@ def block_entropy(
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if mu.q**n > limit:
-        raise ValueError(f"q^n = {mu.q ** n} exceeds limit {limit}")
+    check_size(limit, "q^n = {size}", mu.q, n)
     h_n = _block_entropy_value(mu, n)
     h_prev = _block_entropy_value(mu, n - 1)
     return BlockEntropyReport(n=n, value=h_n, rate=h_n / n, increment=h_n - h_prev)

@@ -42,6 +42,28 @@ MAX_PAIR_VERTICES = 1 << 18
 MAX_COMPOSED_CELLS = 1 << 23
 
 
+def size_text(q: int, exponent: int = 1) -> str:
+    """q^exponent for a message: digits up to 2^64, else q^e, or 2^k+ for exponent 1."""
+    if exponent <= 64 and q**exponent <= 1 << 64:
+        return str(q**exponent)
+    return f"2^{q.bit_length() - 1}+" if exponent == 1 else f"{q}^{exponent}"
+
+
+def check_size(limit: int, what: str, q: int, exponent: int = 1) -> None:
+    """Refuse a size q^exponent over `limit` before anything that large is built.
+
+    The message is `what` then "exceeds limit {limit}".  In `what`, {size}
+    stands for the size as `size_text` writes it, {q} and {e} for the base
+    and exponent.  From an exponent of max(64, limit.bit_length()) on the
+    power is not computed: for q >= 2 it is over the limit.
+    """
+    if q < 2 or exponent < max(64, limit.bit_length()):
+        if q**exponent <= limit:
+            return
+    text = what.format(q=q, e=exponent, size=size_text(q, exponent))
+    raise ValueError(f"{text} exceeds limit {limit}")
+
+
 def symbol_value(ch: str) -> int:
     v = DIGITS.find(ch)
     if v < 0:
@@ -77,10 +99,11 @@ class LocalRule:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
         if self.r < 0:
             raise ValueError("radius must be >= 0")
-        if len(self.table) != self.q ** (self.r + 1):
+        n = len(self.table)
+        # q^(r+1) > n once r + 1 reaches n's bit length: refused unbuilt
+        if self.r + 1 >= n.bit_length() or self.q ** (self.r + 1) != n:
             raise ValueError(
-                f"table must have q^(r+1) = {self.q ** (self.r + 1)} entries, "
-                f"got {len(self.table)}"
+                f"table must have q^(r+1) = {size_text(self.q, self.r + 1)} entries, got {n}"
             )
         for v in self.table:
             if not 0 <= v < self.q:
@@ -122,13 +145,6 @@ def parse_rule(text: str) -> LocalRule:
         raise ValueError(f"bad alphabet size or radius in {text!r}") from exc
     if not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    expected = q ** (r + 1)
-    if len(parts[2]) != expected:
-        raise ValueError(
-            f"rule needs {expected} table digits, got {len(parts[2])}"
-        )
     return LocalRule(q, r, tuple(word_symbols(parts[2], q)))
 
 
@@ -203,13 +219,7 @@ def compose(f: LocalRule, g: LocalRule) -> LocalRule:
 
 def check_composed_size(q: int, r: int, t: int) -> None:
     """Refuse a t-fold composed table of q^(t*r + 1) > MAX_COMPOSED_CELLS cells."""
-    exponent = t * r + 1
-    # q^e >= 2^e, so a long exponent is refused without computing q^e
-    if exponent >= MAX_COMPOSED_CELLS.bit_length() or q**exponent > MAX_COMPOSED_CELLS:
-        raise ValueError(
-            f"composed rule table of {q}^{exponent} cells exceeds limit "
-            f"{MAX_COMPOSED_CELLS}"
-        )
+    check_size(MAX_COMPOSED_CELLS, "composed rule table of {q}^{e} cells", q, t * r + 1)
 
 
 def self_compose(rule: LocalRule, t: int) -> LocalRule:
@@ -266,16 +276,13 @@ def is_surjective(rule: LocalRule) -> bool:
     unordered, one byte each in a table of q^(2r) <= MAX_PAIR_VERTICES.
 
     Surjectivity forces balance at every word length, so the balance checks
-    at lengths 1 and 2 come first: they cost less than building the graph
-    and reject most rules of an enumerated rule space.
+    at lengths 1 and 2 come first: they cost less than building the graph.
+    (An enumerated rule space is filtered on balance before it gets here,
+    see `_surjective_in_range`.)
     """
     q, r = rule.q, rule.r
+    check_size(MAX_PAIR_VERTICES, "q^(2r) = {size} pair-graph vertices", q, 2 * r)
     qr = q**r
-    if qr * qr > MAX_PAIR_VERTICES:
-        raise ValueError(
-            f"q^(2r) = {qr * qr} pair-graph vertices exceeds the supported "
-            f"{MAX_PAIR_VERTICES}"
-        )
     if not (is_balanced(rule) and _pairs_balanced(rule)):
         return False
     # succ[u][a]: the neighborhoods u+b (as table indices) with output a
@@ -358,23 +365,14 @@ def rule_index(rule: LocalRule) -> int:
     return index
 
 
-def _checked_rule_count(q: int, r: int, limit: int) -> int:
-    count = rule_count(q, r)
-    if count > limit:
-        raise ValueError(
-            f"rule space of size q^(q^(r+1)) = {count} exceeds limit {limit}"
-        )
-    return count
-
-
 def enumerate_rules(
     q: int, r: int, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> Iterator[LocalRule]:
     """Yield every radius-r rule table in lexicographic order.
 
-    Refuses rule spaces larger than `limit` tables.
+    Refuses every rule space `check_rule_space` refuses.
     """
-    _checked_rule_count(q, r, limit)
+    check_rule_space(q, r, limit)
     for table in itertools.product(range(q), repeat=q ** (r + 1)):
         yield LocalRule(q, r, table)
 
@@ -382,19 +380,26 @@ def enumerate_rules(
 def check_rule_space(q: int, r: int, limit: int) -> int:
     """The size of the radius-r rule space, refused unless it can be enumerated.
 
-    Beyond the `limit` check this refuses an alphabet size outside
-    [2, MAX_ALPHABET], a negative radius, and a space of 2^63 or more
+    Refuses a negative radius, a space of more than `limit` tables (checked
+    before the alphabet bound, so a large q reads as an oversize space), an
+    alphabet size outside [2, MAX_ALPHABET], and a space of 2^63 or more
     tables, whose indices int64 cannot hold.
     """
-    count = _checked_rule_count(q, r, limit)
-    if not 2 <= q <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
     if r < 0:
         raise ValueError("radius must be >= 0")
+    if q >= 2:
+        if r < 63:
+            check_size(limit, "rule space of size q^(q^(r+1)) = {size}", q, q ** (r + 1))
+        else:  # q^(r+1) >= 2^64 is not built: 2^64 stands in, refused unbuilt
+            what = f"rule space of size q^(q^(r+1)) = {q}^({size_text(q, r + 1)})"
+            check_size(limit, what, q, 1 << 64)
+    if not 2 <= q <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
+    count = rule_count(q, r)
     if count >= MAX_RULE_TABLES:
         raise ValueError(
-            f"rule space of size q^(q^(r+1)) = {count} has 2^63 or more tables, "
-            f"too many to index"
+            f"rule space of size q^(q^(r+1)) = {size_text(q, q ** (r + 1))} has "
+            f"2^63 or more tables, too many to index"
         )
     return count
 

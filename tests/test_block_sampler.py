@@ -76,6 +76,13 @@ class TestXorPower:
         with pytest.raises(ValueError):
             xor_power("01", 1)
 
+    def test_long_lag_refused_without_the_power(self):
+        # 2^20000 is not built: the window is refused from k alone
+        with pytest.raises(ValueError, match=r"length 2 too short for lag 2\^20000$"):
+            xor_power("01", 20000)
+        with pytest.raises(ValueError, match=r"length 4 too short for lag 4$"):
+            xor_power("0110", 2)
+
     def test_matches_rule_iteration_sampled(self):
         rng = SplitMix64(2)
         for _ in range(120):

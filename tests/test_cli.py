@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -572,6 +573,7 @@ def test_sweep_rule_space_refused_before_enumeration(argv, message, capsys, tmp_
 SPAWN_SCRIPT = """
 import multiprocessing
 import sys
+import time
 
 from cafreq.cli import main
 
@@ -603,3 +605,40 @@ def test_spawned_workers_match_serial_run(tmp_path):
         serial = (tmp_path / f"{name}-1.csv").read_bytes()
         assert serial.count(b"\n") > 1
         assert (tmp_path / f"{name}-2.csv").read_bytes() == serial
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rule", "info", "2 1000000000 01"],
+         "table must have q^(r+1) = 2^1000000001 entries, got 2"),
+        (["sweep", "--q", "3000", "--r", "0", "--check", "one_domination"],
+         "rule space of size q^(q^(r+1)) = 3000^3000 exceeds limit 67108864"),
+        (["sweep", "--q", "1000", "--r", "0", "--check", "one_domination"],
+         "rule space of size q^(q^(r+1)) = 1000^1000 exceeds limit 67108864"),
+        (["measure", "pushforward", "2 1 0110", "--measure", "uniform", "--word", "0" * 20000],
+         "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
+        (["measure", "contraction", "2 1 0110", "--measure", "uniform", "--n", "20000"],
+         "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
+        (["fn", "check", "--n", "5000", "--p", "1/2"],
+         "swap count table of 2^20038+ cells exceeds limit 8388608"),
+        (["fn", "apply", "--n", "5000", "--p", "1/2", "--windows", "1"],
+         "swap count table of 2^20038+ cells exceeds limit 8388608"),
+    ],
+    ids=["rule-info", "sweep-q3000", "sweep-q1000", "pushforward", "contraction",
+         "fn-check", "fn-apply"],
+)
+def test_oversize_refused_at_once_with_a_bounded_message(argv, message, capsys, tmp_path):
+    # each size is thousands of digits long: the refusal names it as a power
+    out_path = tmp_path / "out.csv"
+    if argv[0] != "rule" and argv[:2] != ["fn", "check"]:
+        argv = [*argv, "--out", str(out_path)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "integer string conversion" not in captured.err
+    assert len(captured.err) < 200
+    assert captured.out == ""
+    assert not out_path.exists()

@@ -30,7 +30,7 @@ from cafreq.correlation import (
     proper_subsets,
 )
 from cafreq.rng import SplitMix64
-from cafreq.rules import apply_word, random_rule
+from cafreq.rules import apply_word, enumerate_rules, random_rule
 
 # the package's `correlation` attribute is the function of that name
 correlation_module = import_module("cafreq.correlation")
@@ -142,6 +142,23 @@ class TestCorrelation:
 
 
 class TestNormalizedCorrelation:
+    def test_any_effective_radius_gives_the_same_value(self):
+        rng = SplitMix64(91)
+        for q, r in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
+            for _ in range(6):
+                rule = random_rule(q, r, rng)
+                for A in proper_subsets(q):
+                    B = proper_subsets(q)[rng.below(2**q - 2)]
+                    for m in range(4):
+                        expected = normalized_correlation(rule, A, B, m)
+                        for extra in (1, 2):
+                            h = histogram(rule, A, B, r_eff=r + extra)
+                            assert h.normalized(m) == expected
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            histogram(XOR, [1], [1]).normalized(-1)
+
     def test_ternary_example(self):
         assert normalized_correlation(ternary_example_rule(), [0], [0, 2]) == Fraction(1, 3)
 
@@ -247,6 +264,11 @@ class TestFiniteCorrelation:
     def test_guard(self):
         with pytest.raises(ValueError):
             finite_correlation(XOR, [1], 30)
+
+    def test_long_window_refused_without_the_power(self):
+        # the refusal once formatted 2^20001 in digits, which Python refuses
+        with pytest.raises(ValueError, match=r"q\^\(n\+r\) = 2\^20001 exceeds limit 16777216"):
+            finite_correlation(XOR, [1], 20000)
 
     def test_matches_apply_word_brute_force(self):
         rng = SplitMix64(13)
@@ -358,7 +380,25 @@ class TestPrefixSums:
             check_prefix_sum_conjecture(LocalRule.identity(3))
 
 
+def per_rule_average(q, r, A, B):
+    """Oracle: the normalized correlation of every rule, summed as Fractions."""
+    total = Fraction(0)
+    count = 0
+    for rule in enumerate_rules(q, r):
+        total += normalized_correlation(rule, A, B)
+        count += 1
+    return total / count
+
+
 class TestAverages:
+    @pytest.mark.parametrize(
+        "q, r, A, B",
+        [(2, 0, [1], [1]), (2, 1, [1], [1]), (2, 1, [0], [1]), (2, 2, [1], [0]),
+         (3, 0, [0], [0, 2]), (3, 1, [0, 1], [2]), (4, 0, [1, 3], [0])],
+    )
+    def test_matches_per_rule_sum(self, q, r, A, B):
+        assert average_normalized_correlation(q, r, A, B) == per_rule_average(q, r, A, B)
+
     def test_binary_radius1(self):
         avg = average_normalized_correlation(2, 1, [1], [1])
         assert avg == Fraction(1, 2)

@@ -206,6 +206,11 @@ class TestKernelOracle:
 
 
 class TestIteratePushforward:
+    def test_many_steps_refused_without_the_power(self):
+        message = r"preimage enumeration q\^1000001 = 2\^1000001 exceeds limit 67108864"
+        with pytest.raises(ValueError, match=message):
+            iterate_pushforward(XOR, UNIFORM2, 10**6, "1")
+
     def test_uniform_invariant_many_steps(self):
         assert iterate_pushforward(XOR, UNIFORM2, 10, "1") == Fraction(1, 2)
 
@@ -358,6 +363,10 @@ class TestMeasureInvariance:
 
 
 class TestBlockEntropy:
+    def test_long_block_refused_without_the_power(self):
+        with pytest.raises(ValueError, match=r"q\^n = 2\^20000 exceeds limit 67108864"):
+            block_entropy(UNIFORM2, 20000)
+
     def test_uniform(self):
         rep = block_entropy(UNIFORM2, 3)
         assert rep.value == pytest.approx(3 * math.log(2))

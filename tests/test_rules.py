@@ -529,6 +529,80 @@ class TestEnumeration:
         assert rule_count(2, 3) == 65536
 
 
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "q, exponent, text",
+        [
+            (2, 25, "33554432"),
+            (2, 64, "18446744073709551616"),
+            (2, 65, "2^65"),
+            (3000, 3000, "3000^3000"),
+            (2, 10**18, "2^1000000000000000000"),
+            ((1 << 64) + 1, 1, "2^64+"),
+            (5 << 20036, 1, "2^20038+"),
+            (4294967296, 1, "4294967296"),
+        ],
+        ids=["2^25", "2^64", "2^65", "3000^3000", "2^10^18", "whole-2^64+1", "whole-2^20038",
+             "whole-2^32"],
+    )
+    def test_size_text(self, q, exponent, text):
+        assert rules.size_text(q, exponent) == text
+
+    def test_limit_is_inclusive(self):
+        rules.check_size(1 << 25, "{size}", 2, 25)
+        rules.check_size(1 << 70, "{size}", 2, 70)  # past 64, under a long limit
+        rules.check_size(27, "{size}", 3, 3)
+        with pytest.raises(ValueError, match=r"^2\^71 exceeds limit 1180591620717411303424$"):
+            rules.check_size(1 << 70, "{size}", 2, 71)
+        with pytest.raises(ValueError, match=r"^81 exceeds limit 80$"):
+            rules.check_size(80, "{size}", 3, 4)
+
+    def test_message_fields(self):
+        with pytest.raises(ValueError, match=r"^table of 2\^25 = 33554432 cells exceeds limit 9$"):
+            rules.check_size(9, "table of {q}^{e} = {size} cells", 2, 25)
+
+    def test_long_exponent_refused_without_the_power(self):
+        # 2^(10^18) cannot be built at all, so passing means it was not
+        with pytest.raises(ValueError, match=r"= 2\^1000000000000000000 exceeds limit 64"):
+            rules.check_size(64, "q^e = {size}", 2, 10**18)
+        rules.check_size(1, "{size}", 1, 10**18)  # q = 1: the power is 1
+        rules.check_size(0, "{size}", 0, 10**18)
+
+    def test_size_passed_whole(self):
+        with pytest.raises(ValueError, match=r"^2\^20038\+ cells exceeds limit 8$"):
+            rules.check_size(8, "{size} cells", 5 << 20036)
+
+    def test_rule_space_over_the_limit_is_not_counted(self):
+        # the message once formatted 2^32768 in digits, which Python refuses
+        with pytest.raises(ValueError, match=r"q\^\(q\^\(r\+1\)\) = 2\^32768 exceeds limit"):
+            surjective_rules(2, 14)
+        with pytest.raises(ValueError, match=r"q\^\(q\^\(r\+1\)\) = 2\^32768 exceeds limit"):
+            list(enumerate_rules(2, 14))
+        # a radius of 63 or more is refused without building q^(r+1) either
+        message = r"q\^\(q\^\(r\+1\)\) = 2\^\(2\^1000000001\) exceeds limit 67108864"
+        with pytest.raises(ValueError, match=message):
+            surjective_rules(2, 10**9)
+        with pytest.raises(ValueError, match=r"= 3\^\(3\^64\) exceeds limit"):
+            rules.check_rule_space(3, 63, 1 << 1000)
+
+    def test_radius_refused_before_the_rule_space(self):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            rules.check_rule_space(2, -1, 1)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            list(enumerate_rules(2, -3))
+
+    def test_long_table_refused_without_the_power(self):
+        message = r"table must have q\^\(r\+1\) = 2\^10000001 entries, got 2"
+        with pytest.raises(ValueError, match=message):
+            LocalRule(2, 10**7, (0, 1))
+        with pytest.raises(ValueError, match=message):
+            parse_rule("2 10000000 01")
+        with pytest.raises(ValueError, match=r"q\^\(r\+1\) = 8 entries, got 4"):
+            parse_rule("2 2 0110")
+        with pytest.raises(ValueError, match=r"q\^\(r\+1\) = 2 entries, got 0"):
+            LocalRule(2, 0, ())
+
+
 class TestRandomRule:
     def test_deterministic(self):
         a = random_rule(3, 1, SplitMix64(42))
