@@ -67,6 +67,12 @@ def _read_descriptors(path: str) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
+def _refuse_below(flag: str, value: int, least: int) -> None:
+    # a value below `least` computes nothing and would report vacuous results
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _set_label(symbols: frozenset[int]) -> str:
     return "".join(rules.DIGITS[s] for s in sorted(symbols))
 
@@ -109,6 +115,7 @@ def _cmd_correlate(args) -> int:
     rule = rules.parse_rule(args.rule)
     A = _symbols(rule, args.A)
     B = _symbols(rule, args.B if args.B is not None else args.A)
+    _refuse_below("--m", args.m, 0)
     h = correlation.histogram(rule, A, B, args.r_eff)
     print(f"histogram (r_eff={h.r}): {h.counts}  total={h.total}")
     rows = []
@@ -195,7 +202,7 @@ def _prefix_sums_rows(rule: rules.LocalRule, args) -> SweepRows:
 def _conservation_rows(rule: rules.LocalRule, args) -> SweepRows:
     for A in correlation.proper_subsets(rule.q):
         by_histogram = correlation.histogram_matches_identity(rule, A)
-        witness = correlation.find_conservation_violation(rule, A, args.max_period)
+        witness = correlation.conserves_symbols(rule, A, args.max_period).witness
         agree = by_histogram == (witness is None)
         yield agree, (
             _set_label(A),
@@ -228,11 +235,9 @@ def _sweep_averages(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # a value below these searches nothing and would report vacuous results
-    for flag, value, least in (("--r", args.r, 0), ("--max-period", args.max_period, 1),
-                               ("--m-max", args.m_max, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    _refuse_below("--r", args.r, 0)
+    _refuse_below("--max-period", args.max_period, 1)
+    _refuse_below("--m-max", args.m_max, 0)
     if args.check == "averages" or not args.rules_file:
         for r in range(args.r + 1):  # every radius's refusal comes before any enumeration
             rules.check_rule_space(args.q, r, args.limit)
@@ -271,9 +276,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_measure_pushforward(args) -> int:
     rule = rules.parse_rule(args.rule)
     mu = measures.make_measure(args.measure, rule.q)
+    if args.t_max is not None:
+        _refuse_below("--t-max", args.t_max, 0)
     t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
     # the largest step count composes the largest table: refuse it before output
-    rules.check_composed_size(rule.q, rule.r, max(t_values, default=0))
+    rules.check_composed_size(rule.q, rule.r, max(t_values))
     rows = []
     for t in t_values:
         value = measures.iterate_pushforward(rule, mu, t, args.word, limit=args.limit)

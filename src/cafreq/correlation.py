@@ -352,7 +352,7 @@ def average_normalized_correlation(
 
 @dataclass(frozen=True)
 class ConservationReport:
-    status: str  # "conserves" | "violates" | "unknown"
+    status: str  # "conserves" | "violates"
     witness: Optional[tuple[str, str]]  # (periodic config, its image), one period
 
 
@@ -398,22 +398,31 @@ def find_conservation_violation(
 def conserves_symbols(
     rule: LocalRule, A: SymbolsLike, max_period: Optional[int] = None
 ) -> ConservationReport:
-    """Decide (or bound) whether the rule conserves the count of A-symbols.
+    """Decide exactly whether the rule conserves the count of A-symbols.
 
-    Surjective rules are decided exactly by histogram equality with the
-    identity; a violating rule also gets a periodic witness when one exists
-    within the period bound.  For non-surjective rules only the periodic
-    search is used, so the result may be "unknown" (the finite search is
-    sound for violation, incomplete for conservation).
+    A periodic configuration is a closed walk in the de Bruijn graph, whose
+    edges are the neighborhoods w, from w[:-1] to w[1:]; each changes the
+    A-count by g(w) = [f(w) in A] - [w_0 in A].  Every closed walk sums to 0
+    iff g(w) = J(w[1:]) - J(w[:-1]) for a potential J on the r-words
+    (Hattori & Takesue 1991).  J is set along the edges 0v, from v // q to
+    v, then checked on every edge.
+
+    A violating rule gets `find_conservation_violation` within `max_period`
+    (default 3(r+1)): the first witness, of period at most q^r, or None.
+    An explicit q^max_period > MAX_SCAN_WORDS is refused before deciding.
     """
+    q, r, table = rule.q, rule.r, rule.table
     if max_period is None:
-        max_period = 3 * (rule.r + 1)
-    if is_surjective(rule):
-        if histogram_matches_identity(rule, A):
-            return ConservationReport(status="conserves", witness=None)
-        witness = find_conservation_violation(rule, A, max_period)
-        return ConservationReport(status="violates", witness=witness)
+        max_period = 3 * (r + 1)
+    else:
+        check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
+    Aset = normalize_symbols(A, q)
+    qr = q**r
+    g = [(table[w] in Aset) - (w // qr in Aset) for w in range(len(table))]
+    potential = [0] * qr
+    for v in range(1, qr):
+        potential[v] = potential[v // q] + g[v]
+    if all(potential[w % qr] == potential[w // q] + g[w] for w in range(len(table))):
+        return ConservationReport(status="conserves", witness=None)
     witness = find_conservation_violation(rule, A, max_period)
-    if witness is not None:
-        return ConservationReport(status="violates", witness=witness)
-    return ConservationReport(status="unknown", witness=None)
+    return ConservationReport(status="violates", witness=witness)

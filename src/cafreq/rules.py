@@ -109,10 +109,6 @@ class LocalRule:
             if not 0 <= v < self.q:
                 raise ValueError(f"table entry {v} out of range")
 
-    @property
-    def neighborhood_size(self) -> int:
-        return self.r + 1
-
     def format(self) -> str:
         return f"{self.q} {self.r} {symbols_word(self.table)}"
 
@@ -251,19 +247,6 @@ def is_balanced(rule: LocalRule) -> bool:
     return all(c == rule.q ** rule.r for c in counts)
 
 
-def _pairs_balanced(rule: LocalRule) -> bool:
-    # balance for two-symbol words: every ab must have exactly q^r preimages
-    q, r = rule.q, rule.r
-    qr = q**r
-    qr1 = q ** (r + 1)
-    counts = [0] * (q * q)
-    for w in range(q ** (r + 2)):
-        a = rule.table[w // q]
-        b = rule.table[w % qr1]
-        counts[a * q + b] += 1
-    return all(c == qr for c in counts)
-
-
 def is_surjective(rule: LocalRule) -> bool:
     """Decide surjectivity of the global map on bi-infinite configurations.
 
@@ -275,15 +258,15 @@ def is_surjective(rule: LocalRule) -> bool:
     the diagonal u = v with b != c and returns to it.  Pairs are stored
     unordered, one byte each in a table of q^(2r) <= MAX_PAIR_VERTICES.
 
-    Surjectivity forces balance at every word length, so the balance checks
-    at lengths 1 and 2 come first: they cost less than building the graph.
-    (An enumerated rule space is filtered on balance before it gets here,
-    see `_surjective_in_range`.)
+    Surjectivity forces balance at every word length, so the balance check
+    at length 1 comes first: it costs less than building the graph.  (An
+    enumerated rule space is filtered on balance at lengths 2 and 3 before
+    it gets here, see `_surjective_in_range`.)
     """
     q, r = rule.q, rule.r
     check_size(MAX_PAIR_VERTICES, "q^(2r) = {size} pair-graph vertices", q, 2 * r)
     qr = q**r
-    if not (is_balanced(rule) and _pairs_balanced(rule)):
+    if not is_balanced(rule):
         return False
     # succ[u][a]: the neighborhoods u+b (as table indices) with output a
     succ = [[[] for _ in range(q)] for _ in range(qr)]

@@ -174,6 +174,20 @@ class TestSweep:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
 
+    def test_ternary_conservation_digests(self, capsys, tmp_path):
+        # recorded while every conserving pair still ran the full periodic
+        # search to period 12, which took minutes
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--q", "3", "--r", "1", "--check", "conservation", "--out", str(out_path)]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "63569240b2a8e40eb0a09c03fc2d5d988a2bf123ae8007123acf6787ed1953dc"
+        )
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "07cd2184f5317bb4e07a4cb1b7c025365f446a901688b26033b4c57dc1129b86"
+        )
+
 
 class TestMeasureCommands:
     def test_pushforward_trajectory(self, capsys, tmp_path):
@@ -535,6 +549,24 @@ def test_fn_apply_reports_the_window_length_used(capsys):
 def test_sweep_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"
     assert main(["sweep", "--q", "2", *argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correlate", "2 1 0110", "--A", "1", "--m", "-1"], "--m must be at least 0, got -1"),
+        (["measure", "pushforward", "2 1 0110", "--measure", "uniform", "--word", "1",
+          "--t-max", "-1"], "--t-max must be at least 0, got -1"),
+    ],
+    ids=["correlate-m", "pushforward-t-max"],
+)
+def test_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""

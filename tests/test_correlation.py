@@ -1,3 +1,4 @@
+import csv
 import itertools
 from fractions import Fraction
 from importlib import import_module
@@ -21,7 +22,9 @@ from cafreq import (
     surjective_rules,
     weighted_square_sum,
 )
+from cafreq.cli import main
 from cafreq.correlation import (
+    ConservationReport,
     apply_periodic,
     average_normalized_correlation,
     find_conservation_violation,
@@ -30,7 +33,7 @@ from cafreq.correlation import (
     proper_subsets,
 )
 from cafreq.rng import SplitMix64
-from cafreq.rules import apply_word, enumerate_rules, random_rule
+from cafreq.rules import apply_word, enumerate_rules, random_rule, self_compose, symbols_word
 
 # the package's `correlation` attribute is the function of that name
 correlation_module = import_module("cafreq.correlation")
@@ -437,9 +440,8 @@ class TestConservation:
         assert rep.witness == ("012", "112")
 
     def test_unknown_for_quiet_nonsurjective(self):
-        # the constant-0 rule trivially fails conservation of 1s but conserves 0s?
-        # it maps everything to 0; count of 0s grows for configs with 1s, so
-        # a violation for A={0} appears quickly; for A={0} on the all-0 rule:
+        # the constant-0 rule is not surjective and has no "unknown" verdict:
+        # it turns every 1 into a 0, so the count of 0s grows
         rule = parse_rule("2 1 0000")
         rep = conserves_symbols(rule, [0])
         assert rep.status == "violates"
@@ -485,3 +487,58 @@ class TestConservation:
         # first witness in (period, lexicographic) order for XOR and A={1}
         witness = find_conservation_violation(XOR, [1], 6)
         assert witness == ("1", "0")
+
+    def test_decision_matches_periodic_search_on_small_rule_spaces(self):
+        # a violation has a simple cycle of nonzero sum in the de Bruijn
+        # graph, so the periodic search bounded at period q^r is complete
+        pairs = conserving = 0
+        for q, r_max in ((2, 2), (3, 1)):
+            for r in range(r_max + 1):
+                for rule in enumerate_rules(q, r):
+                    for A in proper_subsets(q):
+                        oracle = find_conservation_violation(rule, A, q**r)
+                        rep = conserves_symbols(rule, A, q**r)
+                        assert rep.status == ("conserves" if oracle is None else "violates")
+                        assert rep.witness == oracle
+                        pairs += 1
+                        conserving += oracle is None
+        assert (pairs, conserving) == (118812, 808)
+
+    def test_decision_matches_histogram_on_surjective_ternary_rules(self):
+        conserving = 0
+        for rule in surjective_rules(3, 1):
+            for A in proper_subsets(3):
+                expected = histogram_matches_identity(rule, A)
+                assert (conserves_symbols(rule, A).status == "conserves") == expected
+                conserving += expected
+        assert conserving == 96
+
+    def test_decides_rules_past_the_pair_graph_cap(self):
+        rule = self_compose(SHIFT2, 10)  # q^(2r) = 2^20 pair-graph vertices
+        assert conserves_symbols(rule, [1]).status == "conserves"
+        rule = self_compose(XOR, 10)
+        assert conserves_symbols(rule, [1], 12) == ConservationReport("violates", ("1", "0"))
+
+    def test_explicit_period_bound_refused_before_deciding(self):
+        with pytest.raises(ValueError, match="q\\^max_period = 2\\^25 exceeds limit"):
+            conserves_symbols(IDENTITY2, [1], 25)
+
+    def test_sweep_searches_for_witnesses_only_where_violated(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        searched = []
+        search = correlation_module.find_conservation_violation
+
+        def counting(rule, A, max_period):
+            searched.append((rule.format(), symbols_word(sorted(A))))
+            return search(rule, A, max_period)
+
+        monkeypatch.setattr(correlation_module, "find_conservation_violation", counting)
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--q", "2", "--r", "2", "--check", "conservation", "--out", str(out_path)]
+        assert main(argv) == 0
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        violating = [(row["rule"], row["A"]) for row in rows if row["witness_config"]]
+        assert searched == violating
+        assert 0 < len(searched) < len(rows)

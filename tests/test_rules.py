@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from cafreq import (
     surjective_rules,
 )
 from cafreq import rules
-from cafreq.rules import _pairs_balanced, rule_count, rule_from_index, rule_index
+from cafreq.rules import rule_count, rule_from_index, rule_index
 from cafreq.rng import SplitMix64
 
 XOR = parse_rule("2 1 0110")
@@ -75,6 +76,11 @@ def subset_construction_surjective(rule):
                 seen.add(target)
                 stack.append(target)
     return True
+
+
+def _pairs_balanced(rule):
+    """Every word of length 2 has exactly q^r preimages."""
+    return rules._words_balanced(rule.q, rule.r, np.array([rule.table]), 2)[0]
 
 
 def filtered_rules(q, r, rng, count):
