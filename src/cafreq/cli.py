@@ -119,21 +119,10 @@ def _cmd_correlate(args) -> int:
     h = correlation.histogram(rule, A, B, args.r_eff)
     print(f"histogram (r_eff={h.r}): {h.counts}  total={h.total}")
     rows = []
-    for m in range(args.m + 1):
+    labels = (rule.format(), h.r, _set_label(A), _set_label(B))
+    for m, norm in enumerate(h.normalized_orders(args.m)):
         raw = h.moment(m)
-        norm = h.normalized(m)
-        rows.append(
-            (
-                rule.format(),
-                h.r,
-                _set_label(A),
-                _set_label(B),
-                m,
-                raw,
-                _fmt_frac(norm),
-                float(norm),
-            )
-        )
+        rows.append((*labels, m, raw, _fmt_frac(norm), float(norm)))
         print(f"order {m}: C={raw}  normalized={norm}")
     _write_csv(
         args.out,
@@ -279,8 +268,10 @@ def _cmd_measure_pushforward(args) -> int:
     if args.t_max is not None:
         _refuse_below("--t-max", args.t_max, 0)
     t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
-    # the largest step count composes the largest table: refuse it before output
+    # the largest step count composes the largest table and has the most
+    # preimages: refuse it before output
     rules.check_composed_size(rule.q, rule.r, max(t_values))
+    measures.check_iterate_pushforward(rule, max(t_values), args.word, args.limit)
     rows = []
     for t in t_values:
         value = measures.iterate_pushforward(rule, mu, t, args.word, limit=args.limit)

@@ -40,8 +40,8 @@ def normalize_symbols(symbols: SymbolsLike, q: int) -> frozenset[int]:
     return out
 
 
-#: exhaustive scans over words (histogram neighborhoods, periodic
-#: configurations, finite_correlation inputs) refuse more than this many
+#: exhaustive scans over words (periodic configurations, finite_correlation
+#: inputs) and histograms refuse more than this many words or neighborhoods
 MAX_SCAN_WORDS = 1 << 24
 
 
@@ -85,16 +85,16 @@ class Histogram:
         """Order-m moment, with the convention 0^0 = 1 (Python's)."""
         return sum(k**m * n for k, n in enumerate(self.counts))
 
-    def normalized(self, m: int = 1) -> Fraction:
-        """Radius-free correlation of order m.
+    def normalized_orders(self, m: int) -> tuple[Fraction, ...]:
+        """Radius-free correlations of orders 0..m, from one recursion.
 
-        Computed by solving the radius recursion
+        Solves the radius recursion
 
-            C(rho+1, m) = q * C(rho, m) + |A| * sum_{i<m} comb(m, i) * C(rho, i)
+            C(rho+1, i) = q * C(rho, i) + |A| * sum_{j<i} comb(i, j) * C(rho, j)
 
-        downward from the histogram's radius to radius 0, one order at a
-        time.  Any radius at or above the rule's gives the same value.  The
-        result is an exact rational and may be negative.
+        downward from the histogram's radius to radius 0.  Any radius at or
+        above the rule's gives the same values.  They are exact rationals
+        and may be negative.
         """
         if m < 0:
             raise ValueError("order must be >= 0")
@@ -105,7 +105,11 @@ class Histogram:
                 shift = len(self.A) * sum(comb(i, j) * lower[j] for j in range(i))
                 lower.append((vals[i] - shift) / self.q)
             vals = lower
-        return vals[m]
+        return tuple(vals)
+
+    def normalized(self, m: int = 1) -> Fraction:
+        """Radius-free correlation of order m (see `normalized_orders`)."""
+        return self.normalized_orders(m)[m]
 
 
 @dataclass(frozen=True)
@@ -121,30 +125,29 @@ def histogram(
     B: SymbolsLike,
     r_eff: Optional[int] = None,
 ) -> Histogram:
-    """Histogram at radius r_eff >= rule.r (extra cells are ignored by f).
+    """Histogram at radius r_eff >= rule.r.
 
-    Refuses q^(r_eff+1) > MAX_SCAN_WORDS neighborhoods before scanning.
+    The rule's own q^(r+1) neighborhoods are counted.  Each of the
+    r_eff - r extra cells is ignored by f, so it multiplies the polynomial
+    sum_k N_k x^k by (q - |A|) + |A| x.  Every count is at most
+    q^(r_eff+1), which is refused above MAX_SCAN_WORDS.
     """
     q, r = rule.q, rule.r
     if r_eff is None:
         r_eff = r
     if r_eff < r:
         raise ValueError(f"effective radius {r_eff} below rule radius {r}")
-    width = r_eff + 1
-    check_size(MAX_SCAN_WORDS, "q^(r_eff+1) = {q}^{e}", q, width)
+    check_size(MAX_SCAN_WORDS, "q^(r_eff+1) = {q}^{e}", q, r_eff + 1)
     Aset = normalize_symbols(A, q)
     Bset = normalize_symbols(B, q)
-    drop = q ** (r_eff - r)
-    counts = [0] * (width + 1)
-    for w in range(q**width):
-        if rule.table[w // drop] in Bset:
-            k = 0
-            x = w
-            for _ in range(width):
-                x, d = divmod(x, q)
-                if d in Aset:
-                    k += 1
-            counts[k] += 1
+    in_a = [s in Aset for s in range(q)]
+    counts = [0] * (r + 2)
+    for syms, image in zip(itertools.product(range(q), repeat=r + 1), rule.table):
+        if image in Bset:
+            counts[sum(in_a[s] for s in syms)] += 1
+    a = len(Aset)
+    for _ in range(r_eff - r):
+        counts = [(q - a) * n + a * m for n, m in zip(counts + [0], [0] + counts)]
     return Histogram(q, r_eff, Aset, Bset, tuple(counts))
 
 
@@ -385,13 +388,21 @@ def find_conservation_violation(
     """
     q = rule.q
     check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
-    Aset = normalize_symbols(A, q)
-    in_a = [s in Aset for s in range(q)]
-    for p in range(1, max_period + 1):
-        for syms in itertools.product(range(q), repeat=p):
-            image = _periodic_image(rule, syms)
-            if sum(in_a[s] for s in syms) != sum(in_a[s] for s in image):
-                return symbols_word(syms), symbols_word(image)
+    configs = (
+        syms for p in range(1, max_period + 1) for syms in itertools.product(range(q), repeat=p)
+    )
+    return _first_violation(rule, normalize_symbols(A, q), configs)
+
+
+def _first_violation(
+    rule: LocalRule, Aset: frozenset[int], configs: Iterable[Sequence[int]]
+) -> Optional[tuple[str, str]]:
+    """The first periodic configuration whose image has another A-count."""
+    in_a = [s in Aset for s in range(rule.q)]
+    for syms in configs:
+        image = _periodic_image(rule, syms)
+        if sum(in_a[s] for s in syms) != sum(in_a[s] for s in image):
+            return symbols_word(syms), symbols_word(image)
     return None
 
 
@@ -408,13 +419,14 @@ def conserves_symbols(
     v, then checked on every edge.
 
     A violating rule gets `find_conservation_violation` within `max_period`
-    (default 3(r+1)): the first witness, of period at most q^r, or None.
-    An explicit q^max_period > MAX_SCAN_WORDS is refused before deciding.
+    (default 2r+1): the first witness, or None.  Some witness always has
+    period at most 2r+1 (see `_walk_witness`), so the default finds one.
+    When q^(2r+1) exceeds MAX_SCAN_WORDS, the default returns the walk
+    witness instead of scanning.  An explicit q^max_period > MAX_SCAN_WORDS
+    is refused before deciding.
     """
     q, r, table = rule.q, rule.r, rule.table
-    if max_period is None:
-        max_period = 3 * (r + 1)
-    else:
+    if max_period is not None:
         check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
     Aset = normalize_symbols(A, q)
     qr = q**r
@@ -422,7 +434,31 @@ def conserves_symbols(
     potential = [0] * qr
     for v in range(1, qr):
         potential[v] = potential[v // q] + g[v]
-    if all(potential[w % qr] == potential[w // q] + g[w] for w in range(len(table))):
+    bad = next(
+        (w for w in range(len(table)) if potential[w % qr] != potential[w // q] + g[w]),
+        None,
+    )
+    if bad is None:
         return ConservationReport(status="conserves", witness=None)
+    if max_period is None:
+        if q ** (2 * r + 1) > MAX_SCAN_WORDS:
+            return ConservationReport(status="violates", witness=_walk_witness(rule, Aset, bad))
+        max_period = 2 * r + 1
     witness = find_conservation_violation(rule, A, max_period)
     return ConservationReport(status="violates", witness=witness)
+
+
+def _walk_witness(rule: LocalRule, Aset: frozenset[int], w: int) -> tuple[str, str]:
+    """A violating periodic configuration from the first edge w contradicting J.
+
+    From the state 0^r, appending w then r zeros (period 2r+1) and w[1:]
+    then r zeros (period 2r) are closed walks whose sums differ by the
+    contradiction J(w[:-1]) + g(w) - J(w[1:]): their first r steps are tree
+    edges or loops at 0^r, and a loop adds 0 unless it is w itself, when
+    the first walk is the constant 0.  So one of them violates.
+    """
+    q, r = rule.q, rule.r
+    cells = [w // q ** (r - i) % q for i in range(r + 1)] + [0] * r
+    witness = _first_violation(rule, Aset, (cells, cells[1:]))
+    assert witness is not None, "a contradicting edge always yields a violating walk"
+    return witness

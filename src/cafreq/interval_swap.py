@@ -54,9 +54,6 @@ __all__ = [
     "sparse_count",
     "rank_sparse",
     "unrank_sparse",
-    "dense_size",
-    "rank_dense",
-    "unrank_dense",
     "safe_dense_count",
     "rank_dense_safe",
     "unrank_dense_safe",
@@ -414,35 +411,6 @@ def _dense_code_bits(word: str) -> Optional[str]:
     return bits
 
 
-def dense_size(length: int) -> int:
-    """Size 2^(length//4) of the full dense code family."""
-    return 1 << (length // 4)
-
-
-def rank_dense(word: str) -> int:
-    """Code bits of a dense word read as a binary number (full family)."""
-    bits = _dense_code_bits(word)
-    if bits is None:
-        raise ValueError(f"not a dense code word: {word!r}")
-    return int(bits, 2) if bits else 0
-
-
-def _dense_word(index: int, free: int, suffix: str, rem: int) -> str:
-    """Code word whose code bits are the index in `free` digits, then suffix."""
-    bits = (format(index, f"0{free}b") if free else "") + suffix
-    return "".join("110" + b for b in bits) + "0" * rem
-
-
-def unrank_dense(length: int, index: int) -> str:
-    """Dense code word of the length whose code bits spell the index."""
-    blocks, rem = divmod(length, 4)
-    if not 0 <= index < (1 << blocks):
-        raise ValueError(
-            f"index {size_text(index)} out of range [0, {size_text(2, blocks)})"
-        )
-    return _dense_word(index, blocks, "", rem)
-
-
 def _safe_code_shape(n: int, length: int) -> Optional[tuple[int, str]]:
     """Marker-free dense code words of the length as (free, suffix), or None.
 
@@ -488,7 +456,9 @@ def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
     if not 0 <= index < total:
         raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
     free, suffix = _safe_code_shape(params.n, length)
-    return _dense_word(index, free, suffix, length % 4)
+    # the code bits are the index in `free` binary digits, then the suffix
+    bits = (format(index, f"0{free}b") if free else "") + suffix
+    return "".join("110" + b for b in bits) + "0" * (length % 4)
 
 
 # ---------------------------------------------------------------------------

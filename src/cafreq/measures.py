@@ -149,6 +149,14 @@ class ExplicitMeasure(CylinderMeasure):
 MeasureSpec = Union[str, Mapping]
 
 
+def _fraction(value) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError; a bad descriptor is a ValueError
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational number: {value!r}") from None
+
+
 def make_measure(spec: MeasureSpec, q: Optional[int] = None) -> CylinderMeasure:
     """Build a measure from a descriptor.
 
@@ -164,27 +172,30 @@ def make_measure(spec: MeasureSpec, q: Optional[int] = None) -> CylinderMeasure:
                 raise ValueError("uniform measure needs the alphabet size")
             return ProductMeasure.uniform(q)
         if name == "bernoulli":
-            return ProductMeasure.bernoulli(Fraction(arg))
+            return ProductMeasure.bernoulli(_fraction(arg))
         if name == "dirac":
             if q is None:
                 raise ValueError("dirac measure needs the alphabet size")
-            return DiracMeasure(q, word_symbols(arg.strip(), q)[0])
+            symbols = word_symbols(arg.strip(), q)
+            if len(symbols) != 1:
+                raise ValueError(f"dirac needs exactly one symbol, got {arg!r}")
+            return DiracMeasure(q, symbols[0])
         if name == "product":
-            probs = tuple(Fraction(x) for x in arg.split(","))
+            probs = tuple(_fraction(x) for x in arg.split(","))
             return ProductMeasure(len(probs), probs)
         if name == "subset":
             if q is None:
                 raise ValueError("subset measure needs the alphabet size")
             symbols_text, _, p_text = arg.partition(":")
             return ProductMeasure.concentrated(
-                q, word_symbols(symbols_text.strip(), q), Fraction(p_text)
+                q, word_symbols(symbols_text.strip(), q), _fraction(p_text)
             )
         raise ValueError(f"unknown measure descriptor {spec!r}")
     kind = spec.get("kind")
     if kind == "explicit":
         return ExplicitMeasure(spec["q"], spec["depth"], spec["table"])
     if kind == "product":
-        probs = tuple(Fraction(x) for x in spec["probs"])
+        probs = tuple(_fraction(x) for x in spec["probs"])
         return ProductMeasure(len(probs), probs)
     if kind == "uniform":
         return ProductMeasure.uniform(spec["q"])
@@ -281,12 +292,22 @@ def iterate_pushforward(
     limit: int = DEFAULT_PUSHFORWARD_LIMIT,
 ) -> Fraction:
     """Cylinder value after t rule steps, via the t-fold composed rule."""
-    if t < 0:
-        raise ValueError("step count must be >= 0")
+    check_iterate_pushforward(rule, t, word, limit)
     if t == 0:
         return mu.cylinder(word)
-    check_size(limit, _PREIMAGES, rule.q, len(word) + t * rule.r)
     return pushforward(self_compose(rule, t), mu, word, limit)
+
+
+def check_iterate_pushforward(
+    rule: LocalRule, t: int, word: str, limit: int = DEFAULT_PUSHFORWARD_LIMIT
+) -> None:
+    """Refuse, before any table is composed, what t steps would refuse."""
+    if t < 0:
+        raise ValueError("step count must be >= 0")
+    if t:
+        check_size(limit, _PREIMAGES, rule.q, len(word) + t * rule.r)
+        if not word:
+            raise ValueError("pushforward needs a nonempty word")
 
 
 def pushforward_mass_from_histogram(rule: LocalRule, A: SymbolsLike, p) -> Fraction:

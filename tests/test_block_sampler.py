@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cafreq import block_sampler
 from cafreq.block_sampler import (
     BlockMeasureParams,
     BlockSampler,
@@ -178,3 +179,9 @@ class TestEstimation:
         assert est.std_error == pytest.approx(
             math.sqrt(est.estimate * (1 - est.estimate) / 100)
         )
+
+
+def test_every_public_name_resolves():
+    # a deleted function must not linger in __all__
+    missing = [name for name in block_sampler.__all__ if not hasattr(block_sampler, name)]
+    assert missing == []

@@ -106,6 +106,23 @@ class TestCorrelate:
         assert "1/3" in rows[-1]
 
 
+    def test_all_orders_pinned_and_quick(self, capsys, tmp_path):
+        # one radius recursion serves every order: each order once re-solved it
+        out_path = tmp_path / "c.csv"
+        argv = ["correlate", "2 2 01101001", "--A", "1", "--m", "60", "--out", str(out_path)]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        elapsed = time.perf_counter() - start
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "5a82d42dd56b43f5dafce89cf35819fc9317ca4747f04e552705fd6f530b85ad"
+        )
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "7a12fa681f6211f737dccef3013b5b73695869c1423d652f54519c918cedb672"
+        )
+        assert elapsed < 1.0
+
+
 class TestSweep:
     def test_prefix_sums_small(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -567,6 +584,43 @@ def test_sweep_vacuous_arguments_refused_before_output(argv, message, capsys, tm
 def test_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["bernoulli:1/0", "product:1/0,1", "subset:1:1/0", "dirac:", "dirac:01"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["pushforward", "--word", "1"], ["contraction", "--n", "2"]],
+    ids=["pushforward", "contraction"],
+)
+def test_bad_measure_descriptor_is_usage_error(descriptor, command, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    argv = ["measure", command[0], "2 1 0110", "--measure", descriptor, *command[1:]]
+    assert main([*argv, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--word", "", "--t-max", "2"], "pushforward needs a nonempty word"),
+        (["--word", "01", "--t-max", "3", "--limit", "8"],
+         "preimage enumeration q^5 = 32 exceeds limit 8"),
+    ],
+    ids=["empty-word", "preimages"],
+)
+def test_pushforward_trajectory_refused_before_output(argv, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    base = ["measure", "pushforward", "2 1 0110", "--measure", "uniform"]
+    assert main([*base, *argv, "--out", str(out_path)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""

@@ -75,6 +75,35 @@ def conservation_counterexample_rule():
     return LocalRule(3, 1, tuple(table))
 
 
+def scan_histogram(rule, A, B, r_eff):
+    """The scan the closed form replaced: every word of length r_eff + 1."""
+    q, r = rule.q, rule.r
+    Aset, Bset = frozenset(A), frozenset(B)
+    drop = q ** (r_eff - r)  # the rule reads the first r + 1 cells
+    counts = [0] * (r_eff + 2)
+    for w in range(q ** (r_eff + 1)):
+        if rule.table[w // drop] in Bset:
+            k = 0
+            x = w
+            for _ in range(r_eff + 1):
+                x, d = divmod(x, q)
+                k += d in Aset
+            counts[k] += 1
+    return tuple(counts)
+
+
+def per_order_normalized(h, m):
+    """Order m alone: the radius recursion truncated at m."""
+    vals = [Fraction(h.moment(i)) for i in range(m + 1)]
+    for _ in range(h.r):
+        lower = []
+        for i in range(m + 1):
+            shift = len(h.A) * sum(comb(i, j) * lower[j] for j in range(i))
+            lower.append((vals[i] - shift) / h.q)
+        vals = lower
+    return vals[m]
+
+
 class TestHistogram:
     def test_ternary_example(self):
         h = histogram(ternary_example_rule(), [0], [0, 2])
@@ -112,6 +141,34 @@ class TestHistogram:
             histogram(XOR, [1], [1], r_eff=24)  # 2^25 neighborhoods
         with pytest.raises(ValueError, match="r_eff"):
             histogram(XOR, [1], [1], r_eff=10**9)
+
+    def test_closed_form_matches_the_scan(self):
+        # every A and B; spaces of up to 2^10 words keep the scan quick
+        rng = SplitMix64(2024)
+        cases = 0
+        for q in (2, 3, 4):
+            sets = [frozenset(c) for n in range(q + 1) for c in itertools.combinations(range(q), n)]
+            for r in range(3):
+                for _ in range(2):
+                    rule = random_rule(q, r, rng)
+                    for r_eff in range(r, r + 5):
+                        if q ** (r_eff + 1) > 1 << 10:
+                            break
+                        for A in sets:
+                            for B in sets:
+                                expected = scan_histogram(rule, A, B, r_eff)
+                                assert histogram(rule, A, B, r_eff).counts == expected
+                                cases += 1
+        assert cases == 8416
+
+    def test_identity_histograms_match_the_scan(self):
+        for q in (2, 3, 5):
+            for r in range(6):
+                if q ** (r + 1) > 1 << 12:
+                    break
+                for A in ([0], list(range(q - 1))):
+                    h = histogram(LocalRule.identity(q), A, A, r_eff=r)
+                    assert h.counts == scan_histogram(LocalRule.identity(q), A, A, r)
 
     def test_surjective_total_is_balanced(self):
         for r in (0, 1, 2):
@@ -198,6 +255,20 @@ class TestNormalizedCorrelation:
                 assert h.total == 2**r
                 closed = Fraction(h.moment(1), 2**r) - Fraction(r * 1 * 1, 2)
                 assert normalized_correlation(rule, [1], [1]) == closed
+
+    def test_all_orders_match_the_per_order_recursion(self):
+        rng = SplitMix64(31)
+        for _ in range(40):
+            q = 2 + rng.below(3)
+            r = rng.below(3)
+            rule = random_rule(q, r, rng)
+            A = frozenset(range(1 + rng.below(q)))
+            B = frozenset({rng.below(q)})
+            h = histogram(rule, A, B, r_eff=r + rng.below(3))
+            for m in range(9):
+                expected = tuple(per_order_normalized(h, i) for i in range(m + 1))
+                assert h.normalized_orders(m) == expected
+                assert h.normalized(m) == expected[m]
 
     def test_radius_recursion(self):
         # correlation at radius rho+1 from the values at radius rho
@@ -518,6 +589,50 @@ class TestConservation:
         assert conserves_symbols(rule, [1]).status == "conserves"
         rule = self_compose(XOR, 10)
         assert conserves_symbols(rule, [1], 12) == ConservationReport("violates", ("1", "0"))
+
+    def test_default_bound_decides_past_the_scan_limit(self):
+        # q^(3(r+1)) = 2^33 once refused; the default bound 2r+1 scans 2^21
+        rule = self_compose(XOR, 10)
+        assert conserves_symbols(rule, [1]) == ConservationReport("violates", ("1", "0"))
+
+    def test_walk_witness_past_the_scan_limit(self):
+        rule = self_compose(XOR, 12)  # q^(2r+1) = 2^25 periodic words
+        rep = conserves_symbols(rule, [1])
+        assert rep.status == "violates"
+        config, image = rep.witness
+        assert len(config) <= 2 * rule.r + 1
+        assert apply_periodic(rule, config) == image
+        assert config.count("1") != image.count("1")
+
+    def test_walk_witness_for_every_violating_pair(self, monkeypatch):
+        # with no room to scan, every violation is witnessed by a walk
+        monkeypatch.setattr(correlation_module, "MAX_SCAN_WORDS", 1)
+        rng = SplitMix64(77)
+        rules = [rule for r in range(3) for rule in enumerate_rules(2, r)]
+        rules += [random_rule(3, r, rng) for r in (1, 2) for _ in range(100)]
+        witnessed = 0
+        for rule in rules:
+            for A in proper_subsets(rule.q):
+                rep = conserves_symbols(rule, A)
+                if rep.status == "conserves":
+                    continue
+                config, image = rep.witness
+                labels = symbols_word(sorted(A))
+                assert len(config) <= 2 * rule.r + 1
+                assert apply_periodic(rule, config) == image
+                assert sum(c in labels for c in config) != sum(c in labels for c in image)
+                witnessed += 1
+        assert witnessed > 1000
+
+    def test_default_bound_keeps_the_first_witness(self):
+        # some witness has period at most 2r+1, so the first one does too
+        rng = SplitMix64(78)
+        rules = [rule for r in range(3) for rule in enumerate_rules(2, r)]
+        rules += [random_rule(3, r, rng) for r in (1, 2) for _ in range(100)]
+        for rule in rules:
+            for A in proper_subsets(rule.q):
+                expected = find_conservation_violation(rule, A, 3 * (rule.r + 1))
+                assert conserves_symbols(rule, A).witness == expected
 
     def test_explicit_period_bound_refused_before_deciding(self):
         with pytest.raises(ValueError, match="q\\^max_period = 2\\^25 exceeds limit"):

@@ -10,17 +10,14 @@ from cafreq.interval_swap import (
     classify_interval,
     count_avoiding,
     decompose_intervals,
-    dense_size,
     marker_occurrences,
     rank_avoiding,
-    rank_dense,
     rank_dense_safe,
     rank_sparse,
     run_swap_trials,
     safe_dense_count,
     sparse_count,
     unrank_avoiding,
-    unrank_dense,
     unrank_dense_safe,
     unrank_sparse,
     weight_bounds,
@@ -142,35 +139,37 @@ class TestSparseFamily:
             assert CANON.marker not in w
 
 
+def full_family(length):
+    """Every dense code word of the length (blocks 110b, then a 0-tail), in order."""
+    blocks, rem = divmod(length, 4)
+    return [
+        "".join("110" + b for b in bits) + "0" * rem
+        for bits in itertools.product("01", repeat=blocks)
+    ]
+
+
 def safe_family(params, length):
     """Marker-free words of the full dense family, in lexicographic order."""
-    words = (unrank_dense(length, idx) for idx in range(dense_size(length)))
-    return sorted(w for w in words if params.marker not in w)
+    return [w for w in full_family(length) if params.marker not in w]
 
 
 class TestDenseFamily:
     def test_spec_words(self):
-        assert unrank_dense(8, 2) == "11011100"
-        assert dense_size(8) == 4
-        assert unrank_dense(9, 0) == "110011000"
-
-    def test_rank_roundtrip(self):
-        for length in (8, 9, 10, 11, 12):
-            for idx in range(dense_size(length)):
-                w = unrank_dense(length, idx)
-                assert rank_dense(w) == idx
+        # at length 8 every code bit is free: the safe family is the full one
+        assert unrank_dense_safe(CANON, 8, 2) == "11011100"
+        assert safe_dense_count(CANON, 8) == 4
+        assert unrank_dense_safe(CANON, 9, 0) == "110011000"
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            rank_dense("11111111")
-        with pytest.raises(ValueError):
-            unrank_dense(8, 4)
+        with pytest.raises(ValueError, match="not a dense code word"):
+            rank_dense_safe(CANON, "11111111")
+        with pytest.raises(ValueError, match="out of range"):
+            unrank_dense_safe(CANON, 8, 4)
 
     def test_safe_subfamily_excludes_marker_words(self):
         # final code bit 1 before a tail of >= 2 zeros embeds the marker
         assert safe_dense_count(CANON, 6) == 1
-        assert dense_size(6) == 2
-        assert "10100" in unrank_dense(6, 1)
+        assert full_family(6) == ["110000", "110100"]  # the second holds 10100
         with pytest.raises(ValueError):
             rank_dense_safe(CANON, "110100")
         assert unrank_dense_safe(CANON, 6, 0) == "110000"
@@ -192,8 +191,7 @@ class TestDenseFamily:
             for bad in (-1, len(family)):
                 with pytest.raises(ValueError, match="out of range"):
                     unrank_dense_safe(params, length, bad)
-            for idx in range(dense_size(length)):
-                w = unrank_dense(length, idx)
+            for w in full_family(length):
                 if params.marker in w:
                     with pytest.raises(ValueError, match="avoided pattern"):
                         rank_dense_safe(params, w)
@@ -573,3 +571,9 @@ class TestTrials:
         one = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=1)
         two = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=2)
         assert one == two
+
+
+def test_every_public_name_resolves():
+    # a deleted function must not linger in __all__
+    missing = [name for name in interval_swap.__all__ if not hasattr(interval_swap, name)]
+    assert missing == []
