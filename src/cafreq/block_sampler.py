@@ -12,6 +12,10 @@ The alternation phase is fixed: sibling j of the expanded block receives
 the filled content when j is even, the negation when j is odd, the filled
 block itself being child 0.
 
+A block is one packed integer.  Its draws come from the sample's stream in
+numpy chunks (`rng.ChunkedDraws`), its coins compare integers (`rng.Coin`),
+and a copy is one product with a repunit: `first * sum_k 2^(k * child_len)`.
+
 The two-neighbor XOR map iterated 2^k times reduces to a single lag-2^k
 cellwise XOR; xor_power implements that shortcut and xor_iterate composes
 it along the binary expansion of the step count.
@@ -20,11 +24,11 @@ it along the binary expansion of the step count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .rng import SplitMix64, map_ranges
+from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
 from .rules import size_text
 
 __all__ = [
@@ -63,12 +67,28 @@ MAX_LEVELS = 6
 
 
 @dataclass(frozen=True)
+class _Level:
+    """How to expand level n-1 blocks into a level n block, in integers."""
+
+    child_len: int
+    children: int
+    child_mask: int  # child_len ones: negates a child
+    plain: int  # sum over the children of 2^(k * child_len)
+    odd: int  # the same sum over the odd children only
+    copy: Coin
+    alpha: Coin
+
+
+@dataclass(frozen=True)
 class BlockMeasureParams:
     """Top level count, alternation mix alpha, per-level copy probabilities."""
 
     levels: int
     alpha: Fraction = Fraction(1)
     copy_probs: Optional[tuple[Fraction, ...]] = None
+    # block lengths of levels 0..levels, and _Level plans for 1..levels
+    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _plan: tuple[Optional[_Level], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.levels < 1:
@@ -90,33 +110,55 @@ class BlockMeasureParams:
             if any(p < 0 or p > 1 for p in probs):
                 raise ValueError("copy probabilities must lie in [0, 1]")
             object.__setattr__(self, "copy_probs", probs)
+        lengths = tuple(block_length(n) for n in range(self.levels + 1))
+        object.__setattr__(self, "lengths", lengths)
+        alpha = Coin(self.alpha)
+        plan: list[Optional[_Level]] = [None]
+        for n in range(1, self.levels + 1):
+            child_len, children = lengths[n - 1], 1 << n
+            # child j (0 = leftmost) sits at bit k * child_len, k = children-1-j
+            units = [1 << (k * child_len) for k in range(children)]
+            plan.append(
+                _Level(
+                    child_len=child_len,
+                    children=children,
+                    child_mask=(1 << child_len) - 1,
+                    plain=sum(units),
+                    odd=sum(units[children - 1 - j] for j in range(1, children, 2)),
+                    copy=Coin(self.copy_probs[n - 1]),
+                    alpha=alpha,
+                )
+            )
+        object.__setattr__(self, "_plan", tuple(plan))
 
     @property
     def window_capacity(self) -> int:
-        return block_length(self.levels)
+        return self.lengths[-1]
 
 
-def _generate_block(params: BlockMeasureParams, level: int, rng: SplitMix64) -> int:
-    """Sample one level block as a packed integer, leftmost cell highest bit."""
-    if level == 0:
-        return rng.bit()
-    child_len = block_length(level - 1)
-    first = _generate_block(params, level - 1, rng)
-    children = 1 << level
-    if rng.bernoulli(params.copy_probs[level - 1]):
-        if rng.bernoulli(params.alpha):
-            out = 0
-            for _ in range(children):
-                out = (out << child_len) | first
-        else:
-            flipped = first ^ ((1 << child_len) - 1)
-            out = 0
-            for j in range(children):
-                out = (out << child_len) | (first if j % 2 == 0 else flipped)
+def _generate_block(plan: tuple, level: int, take: Callable[[], int]) -> int:
+    """Sample one level block as a packed integer, leftmost cell highest bit.
+
+    `take` returns the stream's next 64-bit draw; a leaf cell is its top bit.
+    """
+    step = plan[level]
+    if level == 1:
+        first = take() >> 63
     else:
-        out = first
-        for _ in range(children - 1):
-            out = (out << child_len) | _generate_block(params, level - 1, rng)
+        first = _generate_block(plan, level - 1, take)
+    if step.copy.flip(take):
+        if step.alpha.flip(take):
+            return first * step.plain
+        odd = step.odd
+        return (first ^ step.child_mask) * odd + first * (step.plain - odd)
+    out = first
+    shift = step.child_len
+    if level == 1:
+        for _ in range(step.children - 1):
+            out = out << shift | take() >> 63
+    else:
+        for _ in range(step.children - 1):
+            out = out << shift | _generate_block(plan, level - 1, take)
     return out
 
 
@@ -155,13 +197,13 @@ def sample_hierarchical(
         if offset + length <= cap:
             break
         rejections += 1
-    block = _generate_block(params, params.levels, rng)
+    source = ChunkedDraws(rng)
+    block = _generate_block(params._plan, params.levels, source.take)
+    source.close()
     shift = cap - offset - length
     window_bits = (block >> shift) & ((1 << length) - 1)
     window = format(window_bits, f"0{length}b")
-    offsets = tuple(
-        offset % block_length(n) for n in range(params.levels + 1)
-    )
+    offsets = tuple(offset % n for n in params.lengths)
     return HierarchicalSample(window=window, offsets=offsets, rejections=rejections)
 
 

@@ -66,6 +66,23 @@ def parse_symbols(text: str, q: int) -> frozenset[int]:
     return normalize_symbols(word_symbols(cleaned, q), q)
 
 
+def _divide_cell(counts: list[int], q: int, a: int) -> Optional[list[int]]:
+    """sum_k N_k x^k divided by (q - a) + a x, or None if not exact in integers."""
+    if a == 0:  # the factor is the constant q
+        if any(n % q for n in counts):
+            return None
+        return [n // q for n in counts]
+    rest = list(counts)
+    quotient = [0] * (len(rest) - 1)
+    for k in range(len(rest) - 1, 0, -1):  # synthetic division, top term first
+        c, remainder = divmod(rest[k], a)
+        if remainder:
+            return None
+        quotient[k - 1] = c
+        rest[k - 1] -= (q - a) * c
+    return None if rest[0] else quotient
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Counts N_k of B-preimage neighborhoods with k symbols in A."""
@@ -95,11 +112,23 @@ class Histogram:
         downward from the histogram's radius to radius 0.  Any radius at or
         above the rule's gives the same values.  They are exact rationals
         and may be negative.
+
+        One step of the recursion multiplies sum_k N_k x^k by
+        (q - |A|) + |A| x, as a cell the rule ignores does.  So the counts
+        are first divided by that factor, for as long as the division is
+        exact over the integers, and the `Fraction` recursion runs only for
+        the levels left: the cost does not grow with the radius.
         """
         if m < 0:
             raise ValueError("order must be >= 0")
-        vals = [Fraction(self.moment(i)) for i in range(m + 1)]
-        for _ in range(self.r):
+        counts, levels = list(self.counts), self.r
+        while levels:
+            quotient = _divide_cell(counts, self.q, len(self.A))
+            if quotient is None:
+                break
+            counts, levels = quotient, levels - 1
+        vals = [Fraction(sum(k**i * n for k, n in enumerate(counts))) for i in range(m + 1)]
+        for _ in range(levels):
             lower: list[Fraction] = []
             for i in range(m + 1):
                 shift = len(self.A) * sum(comb(i, j) * lower[j] for j in range(i))

@@ -63,37 +63,65 @@ class SplitMix64:
         return self.next64() >> 63
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection.
-
-        A candidate is k draws read as one number, the first most
-        significant, with k the least such that 2^(64k) >= n; k = 1 for
-        every n <= 2^64, which keeps one draw per candidate there.
-        """
+        """Uniform integer in [0, n), unbiased via rejection (see `Uniform`)."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         if n == 1:
             return 0
-        k = 1
-        limit = (1 << 64) - (1 << 64) % n
-        while not limit:  # 2^(64k) < n: every candidate would be rejected
-            k += 1
-            span = 1 << (64 * k)
-            limit = span - span % n
-        while True:
-            r = self.next64()
-            if k > 1:
-                for _ in range(k - 1):
-                    r = r << 64 | self.next64()
-            if r < limit:
-                return r % n
+        return Uniform(n).draw(self.next64)
 
     def bernoulli(self, p: Fraction) -> bool:
         """Exact Bernoulli(p) event for rational p; p in {0, 1} draws nothing."""
-        if p <= 0:
-            return False
-        if p >= 1:
-            return True
-        return self.below(p.denominator) < p.numerator
+        return Coin(p).flip(self.next64)
+
+
+class Uniform:
+    """The rejection rule that turns 64-bit draws into a uniform [0, n).
+
+    A candidate is `words` draws read as one number, the first most
+    significant, with `words` the least k such that 2^(64k) >= n; it is 1
+    for every n <= 2^64, which keeps one draw per candidate there.  A
+    candidate at or above `limit`, the largest multiple of n that fits, is
+    rejected and redrawn.
+    """
+
+    __slots__ = ("n", "words", "limit")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.words = 1
+        self.limit = (1 << 64) - (1 << 64) % n
+        while not self.limit:  # 2^(64k) < n: every candidate would be rejected
+            self.words += 1
+            span = 1 << (64 * self.words)
+            self.limit = span - span % n
+
+    def draw(self, next64: Callable[[], int]) -> int:
+        while True:
+            r = next64()
+            for _ in range(self.words - 1):
+                r = r << 64 | next64()
+            if r < self.limit:
+                return r % self.n
+
+
+class Coin:
+    """An exact Bernoulli(p) event for rational p, in integers only.
+
+    The event is `Uniform(den).draw(...) < num`, so `flip` compares
+    integers and touches no `Fraction`; p <= 0 and p >= 1 draw nothing.
+    """
+
+    __slots__ = ("num", "uniform")
+
+    def __init__(self, p: Fraction):
+        self.num = p.numerator
+        self.uniform = Uniform(p.denominator) if 0 < p.numerator < p.denominator else None
+
+    def flip(self, next64: Callable[[], int]) -> bool:
+        if self.uniform is None:  # p <= 0 or p >= 1
+            return self.num > 0
+        return self.uniform.draw(next64) < self.num
 
 
 def map_ranges(fn: Callable, count: int, jobs: int, *args) -> list:
@@ -116,6 +144,54 @@ def map_ranges(fn: Callable, count: int, jobs: int, *args) -> list:
         return list(pool.map(fn, *columns, bounds[:-1], bounds[1:]))
 
 
+def draws(state: int, count: int) -> np.ndarray:
+    """Draws 1..count of the stream at `state`, hashed at once as uint64.
+
+    Entry k-1 is mix64(state + k * GOLDEN), the k-th `next64` from a
+    stream whose state is `state`; the caller advances the stream.
+    """
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(state & MASK64) + idx * np.uint64(GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+        return z ^ (z >> np.uint64(31))
+
+
+class ChunkedDraws:
+    """The draws of a stream, hashed CHUNK at a time with `draws`.
+
+    `take` returns the stream's next draw, like `next64`, but leaves the
+    stream alone until `close`, which advances it past the draws taken:
+    a run of `take` then `close` consumes the same draws in the same order
+    as that many `next64` calls, and leaves the same state.
+    """
+
+    CHUNK = 1024
+
+    __slots__ = ("rng", "hashed", "queue")
+
+    def __init__(self, rng: SplitMix64):
+        self.rng = rng
+        self.hashed = 0
+        self.queue: list[int] = []  # hashed draws not yet taken, next one last
+
+    def take(self) -> int:
+        try:
+            return self.queue.pop()
+        except IndexError:
+            chunk = draws(self.rng.state + self.hashed * GOLDEN, self.CHUNK)
+            self.hashed += self.CHUNK
+            self.queue = chunk[::-1].tolist()
+            return self.queue.pop()
+
+    def close(self) -> None:
+        taken = self.hashed - len(self.queue)
+        self.rng.state = (self.rng.state + taken * GOLDEN) & MASK64
+        self.hashed = 0
+        self.queue = []
+
+
 def bernoulli_word(rng: SplitMix64, length: int, p: Fraction) -> str:
     """Binary word of i.i.d. cells with 1-density p, vectorized.
 
@@ -129,13 +205,7 @@ def bernoulli_word(rng: SplitMix64, length: int, p: Fraction) -> str:
         rng.state = (rng.state + length * GOLDEN) & MASK64
         return ("1" if p >= 1 else "0") * length
     threshold = (p.numerator << 64) // p.denominator
-    base = np.uint64(rng.state)
-    idx = np.arange(1, length + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = base + idx * np.uint64(GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        z = z ^ (z >> np.uint64(31))
+    z = draws(rng.state, length)
     rng.state = (rng.state + length * GOLDEN) & MASK64
     bits = np.where(z < np.uint64(threshold), ord("1"), ord("0"))
     return bits.astype(np.uint8).tobytes().decode("ascii")

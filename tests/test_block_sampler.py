@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -17,12 +18,80 @@ from cafreq.block_sampler import (
     xor_iterate,
     xor_power,
 )
-from cafreq.rng import SplitMix64
+from cafreq.rng import ChunkedDraws, SplitMix64
 from cafreq.rules import iterate_word, parse_rule
 
 XOR = parse_rule("2 1 0110")
 
 ALWAYS = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the block recursion one scalar draw at a time, with shift-or copies
+
+
+def oracle_below(rng, n):
+    if n == 1:
+        return 0
+    k = 1
+    while (1 << (64 * k)) < n:
+        k += 1
+    span = 1 << (64 * k)
+    limit = span - span % n
+    while True:
+        r = 0
+        for _ in range(k):
+            r = r << 64 | rng.next64()
+        if r < limit:
+            return r % n
+
+
+def oracle_bernoulli(rng, p):
+    if p <= 0:
+        return False
+    if p >= 1:
+        return True
+    return oracle_below(rng, p.denominator) < p.numerator
+
+
+def oracle_block(params, level, rng):
+    if level == 0:
+        return rng.next64() >> 63
+    child_len = block_length(level - 1)
+    first = oracle_block(params, level - 1, rng)
+    children = 1 << level
+    if oracle_bernoulli(rng, params.copy_probs[level - 1]):
+        if oracle_bernoulli(rng, params.alpha):
+            out = 0
+            for _ in range(children):
+                out = (out << child_len) | first
+        else:
+            flipped = first ^ ((1 << child_len) - 1)
+            out = 0
+            for j in range(children):
+                out = (out << child_len) | (first if j % 2 == 0 else flipped)
+    else:
+        out = first
+        for _ in range(children - 1):
+            out = (out << child_len) | oracle_block(params, level - 1, rng)
+    return out
+
+
+def oracle_sample(params, length, rng):
+    cap = block_length(params.levels)
+    rejections = 0
+    while True:
+        offset = oracle_below(rng, cap)
+        if offset + length <= cap:
+            break
+        rejections += 1
+    block = oracle_block(params, params.levels, rng)
+    bits = (block >> (cap - offset - length)) & ((1 << length) - 1)
+    offsets = tuple(offset % block_length(n) for n in range(params.levels + 1))
+    return block_sampler.HierarchicalSample(format(bits, f"0{length}b"), offsets, rejections)
+
+
+ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1, 2**64 + 1))
 
 
 class TestGeometry:
@@ -179,6 +248,54 @@ class TestEstimation:
         assert est.std_error == pytest.approx(
             math.sqrt(est.estimate * (1 - est.estimate) / 100)
         )
+
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=["0", "1/3", "1/2", "1", "1/(2^64+1)"])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+    def test_blocks_and_states(self, levels, alpha, custom):
+        probs = (Fraction(2, 3), Fraction(0), Fraction(1), Fraction(2, 3), Fraction(1, 2))
+        params = BlockMeasureParams(levels, alpha, probs[:levels] if custom else None)
+        for i in range(12 if levels == 5 else 25):
+            rng, oracle = SplitMix64.for_index(41, i), SplitMix64.for_index(41, i)
+            source = ChunkedDraws(rng)
+            block = block_sampler._generate_block(params._plan, levels, source.take)
+            source.close()
+            assert block == oracle_block(params, levels, oracle)
+            assert rng.state == oracle.state
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2**64 + 1)], ids=["1/3", "big"])
+    def test_level_six_blocks(self, alpha):
+        params = BlockMeasureParams(6, alpha)
+        for i in range(2):
+            rng, oracle = SplitMix64.for_index(66, i), SplitMix64.for_index(66, i)
+            source = ChunkedDraws(rng)
+            block = block_sampler._generate_block(params._plan, 6, source.take)
+            source.close()
+            assert block == oracle_block(params, 6, oracle)
+            assert rng.state == oracle.state
+
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=["0", "1/3", "1/2", "1", "1/(2^64+1)"])
+    def test_samples_and_states(self, alpha):
+        # one stream across many samples: every sample leaves the oracle's state
+        params = BlockMeasureParams(3, alpha, (Fraction(0), Fraction(2, 3), Fraction(1)))
+        rng, oracle = SplitMix64(alpha.denominator), SplitMix64(alpha.denominator)
+        for length in (1, 5, 8, 33, 64, 2, 17):
+            assert sample_hierarchical(params, length, rng) == oracle_sample(params, length, oracle)
+            assert rng.state == oracle.state
+
+    def test_samples_leave_no_reference_cycles(self):
+        # a cycle would keep each sample's draw buffer alive until a collection
+        params = BlockMeasureParams(4)
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(20):
+                sample_hierarchical(params, 10, SplitMix64.for_index(1, i))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_every_public_name_resolves():

@@ -518,11 +518,42 @@ def test_xor_limit_bad_word_refused_before_output(word, capsys, tmp_path):
     assert not out_path.exists()
 
 
+# CSV digests recorded with the scalar block sampler, one next64 call per
+# draw; the chunked sampler must consume the same draws in the same order
+XOR_LIMIT_DIGESTS = {
+    "levels5": (
+        ["--levels", "5", "--alpha", "1/2", "--samples", "150", "--seed", "7"],
+        "63959a03a68c34e04dc44702e60b04ebfc84d4e2c0c951870beccc0410286c0b",
+    ),
+    "alpha-beyond-64-bits": (
+        ["--levels", "4", "--alpha", "1/18446744073709551617", "--samples", "50",
+         "--seed", "3", "--n-values", "1,3", "--word", "10"],
+        "477a1d695392b940e3dfb8f290055549ddf8300f9e876fd7d605121a417ff080",
+    ),
+    "levels6": (
+        ["--levels", "6", "--alpha", "1/3", "--samples", "4", "--seed", "11",
+         "--n-values", "5"],
+        "e619915ac058989f2cb9793007a4e560cf493fdde196061e1375dff1162b544c",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(XOR_LIMIT_DIGESTS))
+def test_xor_limit_stream_is_pinned(name, jobs, capsys, tmp_path):
+    argv, digest = XOR_LIMIT_DIGESTS[name]
+    out_path = tmp_path / "xl.csv"
+    assert main(["xor-limit", *argv, "--jobs", jobs, "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_xor_limit_alpha_beyond_64_bits(capsys):
     # alpha's denominator 2^64 + 1 needs two 64-bit draws per uniform index
     argv = ["xor-limit", "--levels", "3", "--alpha", "1/18446744073709551617",
             "--samples", "2", "--n-values", "1"]
+    start = time.perf_counter()
     assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
     assert "n=1 (t=2)" in capsys.readouterr().out
 
 

@@ -12,12 +12,41 @@ import cafreq
 from cafreq.rng import (
     GOLDEN,
     MASK64,
+    ChunkedDraws,
+    Coin,
     SplitMix64,
     bernoulli_word,
     derive_seed,
+    draws,
     map_ranges,
     mix64,
 )
+
+
+def scalar_below(rng, n):
+    """The rejection rule written out on next64: k-draw candidates below limit."""
+    if n == 1:
+        return 0
+    k = 1
+    while (1 << (64 * k)) < n:
+        k += 1
+    span = 1 << (64 * k)
+    limit = span - span % n
+    while True:
+        r = 0
+        for _ in range(k):
+            r = r << 64 | rng.next64()
+        if r < limit:
+            return r % n
+
+
+def scalar_bernoulli(rng, p):
+    """Bernoulli(p) with Fraction comparisons, as the stream defines it."""
+    if p <= 0:
+        return False
+    if p >= 1:
+        return True
+    return scalar_below(rng, p.denominator) < p.numerator
 
 
 class TestStream:
@@ -80,6 +109,55 @@ class TestStream:
         rng = SplitMix64(10)
         hits = sum(rng.bernoulli(Fraction(1, 3)) for _ in range(9000))
         assert abs(hits / 9000 - 1 / 3) < 0.02
+
+
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2**64 + 1), Fraction(5, 7),
+         Fraction(-1, 2), Fraction(3, 2)],
+        ids=["0", "1", "1/3", "1/(2^64+1)", "5/7", "-1/2", "3/2"],
+    )
+    def test_bernoulli_matches_the_fraction_rule(self, p):
+        rng, oracle = SplitMix64(77), SplitMix64(77)
+        flips = [rng.bernoulli(p) for _ in range(300)]
+        assert flips == [scalar_bernoulli(oracle, p) for _ in range(300)]
+        assert rng.state == oracle.state
+
+    def test_coin_flip_matches_bernoulli(self):
+        rng, oracle = SplitMix64(3), SplitMix64(3)
+        coin = Coin(Fraction(2, 3))
+        assert [coin.flip(rng.next64) for _ in range(200)] == [
+            oracle.bernoulli(Fraction(2, 3)) for _ in range(200)
+        ]
+        assert rng.state == oracle.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 3**50])
+    def test_below_matches_the_rejection_rule(self, n):
+        rng, oracle = SplitMix64(12), SplitMix64(12)
+        assert [rng.below(n) for _ in range(100)] == [scalar_below(oracle, n) for _ in range(100)]
+        assert rng.state == oracle.state
+
+
+class TestChunkedDraws:
+    def test_draws_are_the_next64_sequence(self):
+        rng = SplitMix64(2024)
+        assert draws(2024, 40).tolist() == [rng.next64() for _ in range(40)]
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, ChunkedDraws.CHUNK - 1, ChunkedDraws.CHUNK, ChunkedDraws.CHUNK + 1]
+    )
+    @pytest.mark.parametrize("seed", [5, MASK64 - 3 * GOLDEN // 2, MASK64])
+    def test_take_then_close_equals_next64(self, count, seed):
+        # the two larger seeds wrap around 2^64 within the first few draws
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        source = ChunkedDraws(rng)
+        taken = [source.take() for _ in range(count)]
+        assert rng.state == seed & MASK64  # untouched until close
+        source.close()
+        assert taken == [oracle.next64() for _ in range(count)]
+        assert rng.state == oracle.state
+        # the stream goes on from where the taken draws end
+        assert rng.next64() == oracle.next64()
 
 
 class TestBernoulliWord:
