@@ -164,9 +164,14 @@ def _generate_block(plan: tuple, level: int, take: Callable[[], int]) -> int:
 
 @dataclass(frozen=True)
 class HierarchicalSample:
-    window: str
+    bits: int  # the window packed, its first cell the highest of `length` bits
+    length: int
     offsets: tuple[int, ...]  # window start offset modulo each level's block length
     rejections: int  # block-boundary resamples before the window fit
+
+    @property
+    def window(self) -> str:
+        return format(self.bits, f"0{self.length}b")
 
 
 def containment_probability(params: BlockMeasureParams, length: int) -> Fraction:
@@ -201,10 +206,22 @@ def sample_hierarchical(
     block = _generate_block(params._plan, params.levels, source.take)
     source.close()
     shift = cap - offset - length
-    window_bits = (block >> shift) & ((1 << length) - 1)
-    window = format(window_bits, f"0{length}b")
+    bits = (block >> shift) & ((1 << length) - 1)
     offsets = tuple(offset % n for n in params.lengths)
-    return HierarchicalSample(window=window, offsets=offsets, rejections=rejections)
+    return HierarchicalSample(bits=bits, length=length, offsets=offsets, rejections=rejections)
+
+
+def _lag_xor(bits: int, length: int, k: int) -> tuple[int, int]:
+    """xor_power on a packed window: (bits, length) -> (bits, length - 2^k)."""
+    lag = 1 << k
+    n = length - lag
+    return ((bits >> lag) ^ bits) & ((1 << n) - 1), n
+
+
+def _packed(window: str) -> int:
+    if window.count("0") + window.count("1") != len(window):
+        raise ValueError("window must be a binary word")
+    return int(window, 2)
 
 
 def xor_power(window: str, k: int) -> str:
@@ -220,28 +237,34 @@ def xor_power(window: str, k: int) -> str:
         raise ValueError(
             f"window of length {len(window)} too short for lag {size_text(2, k)}"
         )
-    lag = 1 << k
-    n = len(window) - lag
-    if any(c not in "01" for c in window):
-        raise ValueError("window must be a binary word")
-    bits = int(window, 2)
-    out = ((bits >> lag) ^ bits) & ((1 << n) - 1)
-    return format(out, f"0{n}b")
+    bits, n = _lag_xor(_packed(window), len(window), k)
+    return format(bits, f"0{n}b")
 
 
-def xor_iterate(window: str, t: int) -> str:
-    """t steps of the two-neighbor XOR rule via the binary expansion of t."""
+def xor_iterate(window: Union[str, int], t: int, length: Optional[int] = None) -> str:
+    """t steps of the two-neighbor XOR rule via the binary expansion of t.
+
+    The window is a binary word, or, when `length` is given, that many cells
+    packed into an integer with the first cell in the highest bit.
+    """
+    packed = length is not None
+    if not packed:
+        length = len(window)
     if t < 0:
         raise ValueError("step count must be >= 0")
-    if len(window) < t + 1:
-        raise ValueError(f"window of length {len(window)} too short for {t} steps")
+    if length < t + 1:
+        raise ValueError(f"window of length {length} too short for {t} steps")
+    if not packed:
+        window = _packed(window)
+    elif not 0 <= window < 1 << length:
+        raise ValueError(f"packed window does not fit in {length} cells")
     k = 0
     while t:
         if t & 1:
-            window = xor_power(window, k)
+            window, length = _lag_xor(window, length, k)
         t >>= 1
         k += 1
-    return window
+    return format(window, f"0{length}b")
 
 
 @dataclass(frozen=True)
@@ -270,8 +293,8 @@ class XorPowerSampler:
         return self.base.capacity - self.steps
 
     def draw(self, length: int, rng: SplitMix64) -> str:
-        raw = self.base.draw(length + self.steps, rng)
-        return xor_iterate(raw, self.steps)
+        raw = sample_hierarchical(self.base.params, length + self.steps, rng)
+        return xor_iterate(raw.bits, self.steps, raw.length)
 
 
 Sampler = Union[BlockSampler, XorPowerSampler]

@@ -18,9 +18,12 @@ code words that are themselves marker-free: code words ending in a set code
 bit directly before a zero tail of length >= 2 contain (10)^2 0 for n = 2,
 so the naive full code family would break both properties.
 
-Sparse ranking and counting use a DP over (position, weight,
-marker-automaton state) with big-integer counts, shared across all lengths
-via a lazily grown suffix table, the one table a process holds.  Rank and
+Sparse ranking and counting read a lazily grown table with one row of
+big-integer counts per length, the one table a process holds: the
+generating function of the marker-free words read from any state of the
+marker automaton is a short numerator over one shared denominator, so a
+count from any state is a few signed reads of the rows of 1/denominator,
+and from the start state, for the marker, one read.  Rank and
 unrank cost O(weight * log length) table lookups: along a run of zeros the
 automaton soon reaches a state that a 0 leaves unchanged, and from there
 the whole run is found by one search.  The marker-free code words need no
@@ -107,9 +110,8 @@ class SwapParams:
 
 def weight_bounds(length: int, p: Fraction) -> tuple[int, int]:
     """Sparse-family weight band [ceil(length*p/2), floor(3*length*p/2)]."""
-    lo = math.ceil(Fraction(length) * p / 2)
-    hi = math.floor(Fraction(3 * length) * p / 2)
-    return lo, hi
+    num, den = p.numerator, 2 * p.denominator
+    return -(-length * num // den), 3 * length * num // den
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +143,83 @@ def _factor_automaton(pattern: str) -> list[tuple[int, int]]:
     return delta
 
 
+def _series_terms(pattern: str) -> tuple[tuple, list[tuple]]:
+    """Den and the numerators N_s of the pattern-free generating functions.
+
+    The words w for which P[:s] + w holds no P, each weighted
+    x^len(w) y^wt(w) with wt counting the 1s, have the generating function
+    N_s / Den (Guibas and Odlyzko 1981), with
+      Den = x^m y^wt(P) + (1 - x - x y) c,
+    m = |P| and c the autocorrelation polynomial: a term x^(m-e) y^wt(P[e:])
+    for every border length e of P, e = m included.  N_0 = c, and
+    N_s = c - E_s, where E_s has a term x^(2m-b-e) y^(wt(P[b:]) + wt(P[e:]))
+    for each b in 1..s such that P[:s] ends with P[:b] and P[:s] + P[b:]
+    first holds P at its end, and each border length e > m - b.  Both come
+    back as (k, w, coef) terms, coef x^k y^w, sorted by k.
+
+    Den starts with the term 1, and its other coefficients are -1 or 1: c
+    has one term per power of x below x^m, so (1 - x - x y) c has
+    coefficients -1, 0 and 1, and only -1 at x^m, where x^m y^wt(P) lands.
+    """
+    m = len(pattern)
+    wt = [pattern[e:].count("1") for e in range(m + 1)]
+    borders = [e for e in range(1, m + 1) if pattern[:e] == pattern[m - e :]]
+    corr = {(m - e, wt[e]): 1 for e in borders}
+    den = {(m, wt[0]): 1}
+    for k, w in corr:
+        for key, coef in (((k, w), 1), ((k + 1, w), -1), ((k + 1, w + 1), -1)):
+            den[key] = den.get(key, 0) + coef
+    numerators = []
+    for s in range(m):
+        num = dict(corr)
+        for b in range(1, s + 1):
+            if not pattern[:s].endswith(pattern[:b]):
+                continue
+            if pattern in (pattern[:s] + pattern[b:])[:-1]:
+                continue
+            for e in borders:
+                if e > m - b:
+                    key = (2 * m - b - e, wt[b] + wt[e])
+                    num[key] = num.get(key, 0) - 1
+        numerators.append(_sorted_terms(num))
+    return _sorted_terms(den), numerators
+
+
+#: the numerator 1, which count_range reads with one row lookup
+_UNIT = ((0, 0, 1),)
+
+
+def _sorted_terms(poly: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    terms = tuple(sorted((k, w, coef) for (k, w), coef in poly.items() if coef))
+    return _UNIT if terms == _UNIT else terms
+
+
 #: refuse a sparse count table of more big-integer cells than this
-MAX_SWAP_TABLE_CELLS = 1 << 23
+MAX_SWAP_TABLE_CELLS = (1 << 23) // 5
 
 
-def _check_table_size(states: int, length: int, cap: int) -> None:
+def _check_table_size(length: int, cap: int) -> None:
     """Refuse, before it is built, a count table over MAX_SWAP_TABLE_CELLS.
 
-    The table for lengths 0..length holds `states` rows of min(j, cap) + 1
-    cells per length j; a negative cap is counted as 0.
+    The table for lengths 0..length holds min(j, cap) + 1 cells per length
+    j; a negative cap is counted as 0.
     """
     cap = max(cap, 0)
     k = min(length, cap)
-    cells = states * ((k + 1) * (k + 2) // 2 + (length - k) * (cap + 1))
+    cells = (k + 1) * (k + 2) // 2 + (length - k) * (cap + 1)
     check_size(MAX_SWAP_TABLE_CELLS, "swap count table of {size} cells", cells)
 
 
 class _MarkerEngine:
     """The count table of one avoided pattern and one weight cap.
 
-    `layers[j][s][t]` counts pattern-free binary words of length j, read
-    from automaton state s, with at most t ones (t clamped at the cap).
-    Layers grow lazily and a row is never changed once built, so layers may
-    share rows.
+    `rows[j][t]` is the sum of the coefficients of x^j y^u, u <= t, in
+    G = 1/Den (see _series_terms), for t <= min(j, cap).  The words of
+    length j read from automaton state s with at most t ones, t clamped at
+    the cap, number sum coef * rows[j - k][t - w] over the terms of N_s,
+    each read clamped at its row's end and 0 off the table.  For a pattern
+    without proper borders, such as every marker (10)^n 0, c = 1, so N_0 = 1
+    and state 0 reads one row.  Rows grow lazily and never change.
     """
 
     def __init__(self, pattern: str, max_weight: int):
@@ -173,50 +229,71 @@ class _MarkerEngine:
         self.max_weight = max_weight
         self.states = len(pattern)
         self.delta = _factor_automaton(pattern)
-        self.layers: list[list[list[int]]] = [
-            [[1] for _ in range(self.states)]
-        ]
+        den, self.numerators = _series_terms(pattern)
+        # G * Den = 1: G(j, t) = -sum coef G(j - k, t - w) over Den's terms but 1
+        self.recurrence = [(k, w, -coef) for k, w, coef in den if k]
+        self.rows: list[list[int]] = [[1]]
 
     def ensure(self, length: int) -> None:
-        if len(self.layers) > length:
+        rows = self.rows
+        if len(rows) > length:
             return
-        m = self.states
         cap = self.max_weight
-        _check_table_size(m, length, cap)
+        _check_table_size(length, cap)
         if cap < 0:  # no word has fewer than 0 ones
-            while len(self.layers) <= length:
-                self.layers.append([[] for _ in range(m)])
+            while len(rows) <= length:
+                rows.append([])
             return
-        add = operator.add
-        while len(self.layers) <= length:
-            j = len(self.layers)
-            prev = self.layers[-1]
-            grow = j <= cap  # rows gain a cell until they hold cap + 1
-            layer = []
-            for s0, s1 in self.delta:
-                # a word of length j is a 0 or a 1 before a word of length j - 1
-                a = prev[s0] if s0 < m else None
-                b = prev[s1] if s1 < m else None
-                if a is not None and grow:
-                    a = a + a[-1:]  # j - 1 cells hold at most j - 1 ones
-                if b is not None:
-                    b = [0] + (b if grow else b[:-1])  # the leading 1 is one of the t
-                if a is None:
-                    row = b if b is not None else [0] * (min(j, cap) + 1)
-                elif b is None:
-                    row = a
+        add, sub = operator.add, operator.sub
+        while len(rows) <= length:
+            j = len(rows)
+            size = min(j, cap) + 1
+            row = None
+            for k, w, coef in self.recurrence:
+                if k > j:
+                    break
+                if w >= size:
+                    continue
+                # rows[j - k][t - w] for t < size: 0 below w, the last cell past the end
+                src = rows[j - k]
+                part = src[: size - w]
+                if len(part) < size - w:
+                    part += [part[-1]] * (size - w - len(part))
+                if w:
+                    part = [0] * w + part
+                if row is None:
+                    row = part if coef > 0 else [-v for v in part]
                 else:
-                    row = list(map(add, a, b))
-                layer.append(row)
-            self.layers.append(layer)
+                    row = list(map(add if coef > 0 else sub, row, part))
+            rows.append(row if row is not None else [0] * size)
 
     def count_range(self, j: int, s: int, lo: int, hi: int) -> int:
         """Words of length j read from state s with lo..hi ones."""
-        row = self.layers[j][s]
-        top = len(row) - 1  # a row ends at the cap: more ones count as the cap
-        count = row[hi if hi < top else top] if hi >= 0 else 0
-        if lo > 0:
-            count -= row[lo - 1 if lo <= top else top]
+        cap = self.max_weight
+        if hi > cap:  # a row ends at the cap: more ones count as the cap
+            hi = cap
+        below = (lo if lo <= cap else cap + 1) - 1  # the count of at most `below` ones goes
+        terms = self.numerators[s]
+        if terms is _UNIT:  # N_s = 1: one row, two reads
+            row = self.rows[j]
+            top = len(row) - 1
+            count = row[hi if hi < top else top] if hi >= 0 else 0
+            if below >= 0:
+                count -= row[below if below < top else top]
+            return count
+        rows = self.rows
+        count = 0
+        for k, w, coef in terms:
+            if k > j:
+                break
+            row = rows[j - k]
+            top = len(row) - 1
+            t = hi - w
+            c = row[t if t < top else top] if t >= 0 else 0
+            t = below - w
+            if t >= 0:
+                c -= row[t if t < top else top]
+            count += coef * c
         return count
 
     def count(self, length: int, lo: int, hi: int) -> int:
@@ -331,7 +408,7 @@ class _MarkerEngine:
         return "".join(out)
 
 
-#: the most recently used engine only: a count table can take hundreds of MB
+#: the most recently used engine only: the canonical table takes about 100 MB
 _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
 
 
@@ -451,6 +528,10 @@ def rank_dense_safe(params: SwapParams, word: str) -> int:
     return _rank_safe_code_bits(params.n, bits, len(word) % 4)
 
 
+#: code bit -> its block 110b, for str.translate
+_CODE_BLOCKS = {ord("0"): "1100", ord("1"): "1101"}
+
+
 def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
     total = safe_dense_count(params, length)
     if not 0 <= index < total:
@@ -458,7 +539,7 @@ def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
     free, suffix = _safe_code_shape(params.n, length)
     # the code bits are the index in `free` binary digits, then the suffix
     bits = (format(index, f"0{free}b") if free else "") + suffix
-    return "".join("110" + b for b in bits) + "0" * (length % 4)
+    return bits.translate(_CODE_BLOCKS) + "0" * (length % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +635,7 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
             reasons=("no medium intervals for these parameters",),
         )
     # refused before the cached engine is touched
-    _check_table_size(mlen, hi_l, max(weight_bounds(hi_l, params.p)[1], 0))
+    _check_table_size(hi_l, max(weight_bounds(hi_l, params.p)[1], 0))
     engine = _params_engine(params, hi_l)
     reasons: list[str] = []
     num, den = params.p.numerator, params.p.denominator

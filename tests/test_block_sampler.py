@@ -88,7 +88,7 @@ def oracle_sample(params, length, rng):
     block = oracle_block(params, params.levels, rng)
     bits = (block >> (cap - offset - length)) & ((1 << length) - 1)
     offsets = tuple(offset % block_length(n) for n in range(params.levels + 1))
-    return block_sampler.HierarchicalSample(format(bits, f"0{length}b"), offsets, rejections)
+    return block_sampler.HierarchicalSample(bits, length, offsets, rejections)
 
 
 ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(1, 2**64 + 1))
@@ -164,6 +164,38 @@ class TestXorPower:
 
     def test_iterate_zero(self):
         assert xor_iterate("0110", 0) == "0110"
+        assert xor_iterate(0b0110, 0, 4) == "0110"
+
+    def test_packed_window_matches_word(self):
+        rng = SplitMix64(5)
+        for _ in range(120):
+            length = 1 + rng.below(40)
+            t = rng.below(length)
+            bits = rng.below(1 << length)
+            w = format(bits, f"0{length}b")
+            assert xor_iterate(bits, t, length) == xor_iterate(w, t) == iterate_word(XOR, w, t)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("0120", 0), "binary word"),
+            (("01 1", 1), "binary word"),
+            (("0_11", 1), "binary word"),
+            (("012", -1), "step count"),
+            (("012", 3), "too short for 3 steps"),
+            ((16, 1, 4), "does not fit in 4 cells"),
+            ((-1, 1, 4), "does not fit in 4 cells"),
+            ((3, 4, 4), "too short for 4 steps"),
+        ],
+    )
+    def test_iterate_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            xor_iterate(*args)
+
+    def test_power_refuses_non_binary(self):
+        for window in ("0120", "0_11", "01 1", "+011"):
+            with pytest.raises(ValueError, match="binary word"):
+                xor_power(window, 1)
 
 
 class TestSampling:
@@ -203,6 +235,16 @@ class TestSampling:
         a = sample_hierarchical(params, 20, SplitMix64(99))
         b = sample_hierarchical(params, 20, SplitMix64(99))
         assert a == b
+        assert a.window == format(a.bits, "020b")
+
+    def test_xor_sampler_is_xor_of_the_drawn_word(self):
+        params = BlockMeasureParams(levels=4, alpha=Fraction(1, 2))
+        for steps in (0, 1, 5, 12):
+            sampler = XorPowerSampler(BlockSampler(params), steps)
+            for i in range(10):
+                a, b = SplitMix64.for_index(6, i), SplitMix64.for_index(6, i)
+                assert sampler.draw(30, a) == xor_iterate(BlockSampler(params).draw(30 + steps, b), steps)
+                assert a.state == b.state
 
 
 class TestEstimation:

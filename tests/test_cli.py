@@ -350,6 +350,28 @@ class TestConstructionCommands:
         cap = interval_swap.weight_bounds(params.max_free_length, params.p)[1]
         assert (params.marker, cap) not in interval_swap._ENGINES
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_fn_check_canonical_peak_rss(self):
+        # the canonical count table: 375 MB peak RSS with a row per automaton
+        # state and length, about 111 MB with one row per length.  The peak is
+        # VmHWM, the high-water mark of the fresh interpreter's own memory:
+        # Linux starts ru_maxrss of an exec'd child at the RSS of the process
+        # that spawned it, here the pytest process.
+        script = (
+            "from cafreq.cli import main\n"
+            "assert main(['fn', 'check', '--n', '2', '--p', '1/50']) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(cafreq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True
+        )
+        assert "valid: True" in done.stdout
+        peak_kb = int(done.stdout.split()[-1])
+        assert peak_kb < 200 * 1024
+
     def test_fn_apply_small(self, capsys, tmp_path):
         out_path = tmp_path / "fn.csv"
         code = main(
@@ -738,9 +760,9 @@ def test_spawned_workers_match_serial_run(tmp_path):
         (["measure", "contraction", "2 1 0110", "--measure", "uniform", "--n", "20000"],
          "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
         (["fn", "check", "--n", "5000", "--p", "1/2"],
-         "swap count table of 2^20038+ cells exceeds limit 8388608"),
+         "swap count table of 2^20025+ cells exceeds limit 1677721"),
         (["fn", "apply", "--n", "5000", "--p", "1/2", "--windows", "1"],
-         "swap count table of 2^20038+ cells exceeds limit 8388608"),
+         "swap count table of 2^20025+ cells exceeds limit 1677721"),
     ],
     ids=["rule-info", "sweep-q3000", "sweep-q1000", "pushforward", "contraction",
          "fn-check", "fn-apply"],

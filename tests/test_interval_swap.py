@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,14 @@ class TestParams:
     def test_weight_bounds(self):
         assert weight_bounds(5318, Fraction(1, 50)) == (54, 159)
         assert weight_bounds(200, Fraction(1, 50)) == (2, 6)
+
+    def test_weight_bounds_match_rational_rounding(self):
+        for p, lengths in ((Fraction(1, 50), range(20001)), (Fraction(2, 7), range(3000)),
+                           (Fraction(1, 36), range(3000)), (Fraction(5, 9), range(-40, 40))):
+            for l in lengths:
+                assert weight_bounds(l, p) == (
+                    math.ceil(Fraction(l) * p / 2), math.floor(Fraction(3 * l) * p / 2)
+                )
 
 
 class TestToyRanker:
@@ -329,8 +338,8 @@ class TestParamsValidity:
         params = SwapParams(2, Fraction(1, 20))
         check_swap_params(params)
         engine = _params_engine(params)
-        cells = sum(len(row) for layer in engine.layers for row in layer)
-        assert len(engine.layers) == params.max_free_length + 1
+        cells = sum(map(len, engine.rows))
+        assert len(engine.rows) == params.max_free_length + 1
         check_swap_params.cache_clear()
         monkeypatch.setattr(interval_swap, "MAX_SWAP_TABLE_CELLS", cells)
         check_swap_params(params)
@@ -339,11 +348,35 @@ class TestParamsValidity:
         with pytest.raises(ValueError, match="cells"):
             check_swap_params(params)
 
+    @pytest.mark.parametrize(
+        "p, cells, admitted",
+        [(Fraction(1, 63), 1_638_964, True), (Fraction(1, 64), 1_715_889, False),
+         (Fraction(1, 100), 6_343_995, False)],
+    )
+    def test_size_guard_boundary_at_n2(self, p, cells, admitted, monkeypatch):
+        # the guard admits the same (2, p) as when it counted 5 rows per length
+        # against 2^23 cells; no table is built either way
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        params = SwapParams(2, p)
+        cap = weight_bounds(params.max_free_length, p)[1]
+        assert sum(min(j, cap) + 1 for j in range(params.max_free_length + 1)) == cells
+        assert (cells <= interval_swap.MAX_SWAP_TABLE_CELLS) == admitted
+        assert (5 * cells <= 1 << 23) == admitted
+        monkeypatch.setattr(interval_swap, "_params_engine", reached)
+        check_swap_params.cache_clear()
+        with pytest.raises(Reached if admitted else ValueError):
+            check_swap_params(params)
+        check_swap_params.cache_clear()
+
 
 # Reference implementations: rank and unrank one bit at a time, and the
-# count table one cell at a time.  The engine visits only the 1s and adds
-# whole rows; these read their own table, or the engine's once its layers
-# are shown equal.
+# count table one cell and one automaton state at a time.  The engine visits
+# only the 1s and reads every state's counts off one row per length.
 
 
 def reference_layers(pattern, cap, length):
@@ -381,7 +414,7 @@ def reference_count(layers, j, s, lo, hi):
     return count_le(hi) - count_le(lo - 1)
 
 
-def reference_rank(pattern, layers, word, lo, hi):
+def reference_rank(pattern, layers, word, lo, hi, count=reference_count):
     delta = interval_swap._factor_automaton(pattern)
     m = len(pattern)
     rank = s = w = 0
@@ -390,7 +423,7 @@ def reference_rank(pattern, layers, word, lo, hi):
         s0, s1 = delta[s]
         if ch == "1":
             if s0 < m:
-                rank += reference_count(layers, j, s0, lo - w, hi - w)
+                rank += count(layers, j, s0, lo - w, hi - w)
             w += 1
             s = s1
         elif ch == "0":
@@ -404,8 +437,8 @@ def reference_rank(pattern, layers, word, lo, hi):
     return rank
 
 
-def reference_unrank(pattern, layers, length, index, lo, hi):
-    total = reference_count(layers, length, 0, lo, hi)
+def reference_unrank(pattern, layers, length, index, lo, hi, count=reference_count):
+    total = count(layers, length, 0, lo, hi)
     if not 0 <= index < total:
         raise ValueError(f"index {index} out of range [0, {total})")
     delta = interval_swap._factor_automaton(pattern)
@@ -415,7 +448,7 @@ def reference_unrank(pattern, layers, length, index, lo, hi):
     for i in range(length):
         j = length - 1 - i
         s0, s1 = delta[s]
-        c0 = reference_count(layers, j, s0, lo - w, hi - w) if s0 < m else 0
+        c0 = count(layers, j, s0, lo - w, hi - w) if s0 < m else 0
         if index < c0:
             out.append("0")
             s = s0
@@ -428,6 +461,10 @@ def reference_unrank(pattern, layers, length, index, lo, hi):
     return "".join(out)
 
 
+def engine_count(engine, j, s, lo, hi):
+    return engine.count_range(j, s, lo, hi)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -435,29 +472,79 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
+CANON_CAP = weight_bounds(CANON.max_free_length, CANON.p)[1]
+
+
+@pytest.fixture(scope="module")
+def canonical_layers():
+    """Reference layers of the canonical marker and cap, lengths up to 1,000."""
+    return reference_layers(CANON.marker, CANON_CAP, 1000)
+
+
 class TestAgainstPerBitOracle:
     @pytest.mark.parametrize(
         "pattern, cap",
         [("10100", 0), ("10100", 4), ("10100", 159), ("0", 3), ("01", 0), ("01", 6),
-         ("11", 2), ("1", 5)],
+         ("11", 2), ("1", 5), ("101", 4), ("111", 3), ("0110", 5), ("11011", 6)],
     )
     def test_layers_match_cell_by_cell_build(self, pattern, cap):
+        # "101", "111", "0110" and "11011" overlap themselves: c != 1
+        layers = reference_layers(pattern, cap, 70)
         engine = interval_swap._MarkerEngine(pattern, cap)
         engine.ensure(70)
-        assert engine.layers == reference_layers(pattern, cap, 70)
+        # every band up to two past a small cap; past 14, one end at a time
+        top = min(cap, 12) + 2
+        bands = [(lo, hi) for lo in range(-1, top + 1) for hi in range(lo - 1, top + 1)]
+        bands += [(0, t) for t in range(top + 1, cap + 3)]
+        bands += [(t, cap + 2) for t in range(top + 1, cap + 3)]
+        for j in range(71):
+            for s in range(len(pattern)):
+                for lo, hi in bands:
+                    assert engine.count_range(j, s, lo, hi) == reference_count(
+                        layers, j, s, lo, hi
+                    ), (j, s, lo, hi)
+
+    def test_canonical_cells_match_up_to_length_1000(self, canonical_layers):
+        engine = interval_swap._MarkerEngine(CANON.marker, CANON_CAP)
+        engine.ensure(1000)
+        for j in range(1001):
+            for s in range(len(CANON.marker)):
+                row = canonical_layers[j][s]
+                assert [engine.count_range(j, s, 0, t) for t in range(len(row))] == row
+                assert engine.count_range(j, s, 0, CANON_CAP + 1) == row[-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_marker_series_has_no_autocorrelation(self, n):
+        # c = 1 for every (10)^n 0: Den = 1 - x - x y + x^m y^n and N_0 = 1,
+        # so a row is G(j-1, t) + G(j-1, t-1) - G(j-m, t-n)
+        marker = SwapParams(n, CANON.p).marker
+        den, numerators = interval_swap._series_terms(marker)
+        assert den == ((0, 0, 1), (1, 0, -1), (1, 1, -1), (2 * n + 1, n, 1))
+        assert numerators[0] is interval_swap._UNIT
+
+    def test_denominator_coefficients_are_units(self):
+        # the row build adds or subtracts whole rows
+        for m in range(1, 9):
+            for bits in itertools.product("01", repeat=m):
+                den, _ = interval_swap._series_terms("".join(bits))
+                assert den[0] == (0, 0, 1)
+                assert all(abs(coef) == 1 for _, _, coef in den)
 
     @pytest.mark.parametrize("length", [195, 1000, 5318])
-    def test_canonical_unrank_and_rank(self, length):
-        engine = _params_engine(CANON, length)
+    def test_canonical_unrank_and_rank(self, length, canonical_layers):
         lo, hi = weight_bounds(length, CANON.p)
         total = sparse_count(CANON, length)
+        layers, count = canonical_layers, reference_count
+        if length >= len(layers):
+            # past the reference layers the per-bit walks read the engine's
+            # counts, which the cell tests above compare with the reference
+            layers, count = _params_engine(CANON, length), engine_count
         rng = SplitMix64(length)
         for idx in [0, total - 1] + [rng.below(total) for _ in range(20)]:
             word = unrank_sparse(CANON, length, idx)
-            expected = reference_unrank(CANON.marker, engine.layers, length, idx, lo, hi)
-            assert word == expected
+            assert word == reference_unrank(CANON.marker, layers, length, idx, lo, hi, count)
             assert rank_sparse(CANON, word) == idx
-            assert reference_rank(CANON.marker, engine.layers, word, lo, hi) == idx
+            assert reference_rank(CANON.marker, layers, word, lo, hi, count) == idx
 
     @pytest.mark.parametrize(
         "pattern, length, lo, hi",
@@ -514,11 +601,11 @@ class TestAgainstPerBitOracle:
     )
     def test_oversize_sparse_table_refused_and_cached_one_kept(self, call):
         engine = _params_engine(CANON, 200)
-        built = len(engine.layers)
+        built = len(engine.rows)
         with pytest.raises(ValueError, match="cells exceeds limit"):
             call()
         assert list(interval_swap._ENGINES.values()) == [engine]
-        assert len(engine.layers) == built
+        assert len(engine.rows) == built
 
 
 from hypothesis import given, settings
