@@ -176,6 +176,8 @@ class HierarchicalSample:
 
 def containment_probability(params: BlockMeasureParams, length: int) -> Fraction:
     """Chance that a uniformly placed window fits inside one top block."""
+    if length < 1:
+        raise ValueError(f"window length {length} is below 1")
     cap = params.window_capacity
     if length > cap:
         return Fraction(0)

@@ -227,7 +227,9 @@ def _cmd_sweep(args) -> int:
     _refuse_below("--r", args.r, 0)
     _refuse_below("--max-period", args.max_period, 1)
     _refuse_below("--m-max", args.m_max, 0)
-    if args.check == "averages" or not args.rules_file:
+    if args.check == "averages" and args.rules_file:
+        raise ValueError("--check averages averages over every rule and reads no --rules-file")
+    if not args.rules_file:
         for r in range(args.r + 1):  # every radius's refusal comes before any enumeration
             rules.check_rule_space(args.q, r, args.limit)
     if args.check == "averages":

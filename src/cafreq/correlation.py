@@ -4,7 +4,7 @@ For symbol sets A, B and an effective radius r, the histogram of a rule
 counts, for each k, the neighborhoods of length r+1 that map into B and
 contain exactly k symbols from A.  The correlation of order m is the m-th
 moment of that histogram; the normalized correlation removes the radius
-dependence by solving the radius recursion down to radius 0.
+dependence by dividing out the factor of the cells past radius 0.
 
 Everything in this module is exact: integers and rationals only.
 """
@@ -66,23 +66,6 @@ def parse_symbols(text: str, q: int) -> frozenset[int]:
     return normalize_symbols(word_symbols(cleaned, q), q)
 
 
-def _divide_cell(counts: list[int], q: int, a: int) -> Optional[list[int]]:
-    """sum_k N_k x^k divided by (q - a) + a x, or None if not exact in integers."""
-    if a == 0:  # the factor is the constant q
-        if any(n % q for n in counts):
-            return None
-        return [n // q for n in counts]
-    rest = list(counts)
-    quotient = [0] * (len(rest) - 1)
-    for k in range(len(rest) - 1, 0, -1):  # synthetic division, top term first
-        c, remainder = divmod(rest[k], a)
-        if remainder:
-            return None
-        quotient[k - 1] = c
-        rest[k - 1] -= (q - a) * c
-    return None if rest[0] else quotient
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Counts N_k of B-preimage neighborhoods with k symbols in A."""
@@ -103,38 +86,34 @@ class Histogram:
         return sum(k**m * n for k, n in enumerate(self.counts))
 
     def normalized_orders(self, m: int) -> tuple[Fraction, ...]:
-        """Radius-free correlations of orders 0..m, from one recursion.
+        """Radius-free correlations nu_0..nu_m, by one generating-function division.
 
-        Solves the radius recursion
+        Each of the r cells past radius 0 multiplies sum_k N_k x^k by
+        (q - |A|) + |A| x, as a cell the rule ignores does.  With x = e^t,
+        moments multiply by binomial convolution, so the values solve
 
-            C(rho+1, i) = q * C(rho, i) + |A| * sum_{j<i} comb(i, j) * C(rho, j)
+            M_i = sum_{j<=i} comb(i, j) * nu_j * c_{i-j},
 
-        downward from the histogram's radius to radius 0.  Any radius at or
-        above the rule's gives the same values.  They are exact rationals
-        and may be negative.
-
-        One step of the recursion multiplies sum_k N_k x^k by
-        (q - |A|) + |A| x, as a cell the rule ignores does.  So the counts
-        are first divided by that factor, for as long as the division is
-        exact over the integers, and the `Fraction` recursion runs only for
-        the levels left: the cost does not grow with the radius.
+        with M_i = moment(i) and c_k = sum_l comb(r, l) |A|^l (q - |A|)^(r-l) l^k
+        the moments of ((q - |A|) + |A| x)^r, c_0 = q^r.  They are solved in
+        order, as the integers u_i = nu_i * q^(r(i+1)).  Any radius at or above
+        the rule's gives the same values.  They are exact rationals and may be
+        negative.
         """
         if m < 0:
             raise ValueError("order must be >= 0")
-        counts, levels = list(self.counts), self.r
-        while levels:
-            quotient = _divide_cell(counts, self.q, len(self.A))
-            if quotient is None:
-                break
-            counts, levels = quotient, levels - 1
-        vals = [Fraction(sum(k**i * n for k, n in enumerate(counts))) for i in range(m + 1)]
-        for _ in range(levels):
-            lower: list[Fraction] = []
-            for i in range(m + 1):
-                shift = len(self.A) * sum(comb(i, j) * lower[j] for j in range(i))
-                lower.append((vals[i] - shift) / self.q)
-            vals = lower
-        return tuple(vals)
+        q, a, r = self.q, len(self.A), self.r
+        d = q**r
+        # c_k * d^(k-1) for k = 1..m, which keeps every u_i an integer
+        c = [
+            d ** (k - 1) * sum(comb(r, l) * a**l * (q - a) ** (r - l) * l**k for l in range(r + 1))
+            for k in range(1, m + 1)
+        ]
+        u: list[int] = []
+        for i in range(m + 1):
+            shift = sum(comb(i, j) * u[j] * c[i - j - 1] for j in range(i))
+            u.append(self.moment(i) * d**i - shift)
+        return tuple(Fraction(n, d ** (i + 1)) for i, n in enumerate(u))
 
     def normalized(self, m: int = 1) -> Fraction:
         """Radius-free correlation of order m (see `normalized_orders`)."""

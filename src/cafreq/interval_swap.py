@@ -418,6 +418,8 @@ def _engine(pattern: str, max_weight: int, length: int = 0) -> _MarkerEngine:
     A new engine evicts the cached one, and is cached only once its table
     has been accepted and built.
     """
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
     key = (pattern, max_weight)
     eng = _ENGINES.get(key)
     if eng is None:
@@ -498,6 +500,8 @@ def _safe_code_shape(n: int, length: int) -> Optional[tuple[int, str]]:
     For n = 1 the marker 100 ends at every code bit 0, and at the second
     tail zero after a last code bit 1.
     """
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
     blocks, rem = divmod(length, 4)
     if n >= 3 or blocks == 0 or (n == 2 and rem < 2):
         return blocks, ""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -146,9 +146,6 @@ class ExplicitMeasure(CylinderMeasure):
         return self._table[word]
 
 
-MeasureSpec = Union[str, Mapping]
-
-
 def _fraction(value) -> Fraction:
     # Fraction("1/0") raises ZeroDivisionError; a bad descriptor is a ValueError
     try:
@@ -157,51 +154,38 @@ def _fraction(value) -> Fraction:
         raise ValueError(f"not a rational number: {value!r}") from None
 
 
-def make_measure(spec: MeasureSpec, q: Optional[int] = None) -> CylinderMeasure:
+def make_measure(spec: str, q: Optional[int] = None) -> CylinderMeasure:
     """Build a measure from a descriptor.
 
-    Strings: "uniform", "bernoulli:P", "dirac:S", "product:P0,P1,...",
-    "subset:SYMBOLS:P" (mass P spread over the given symbols).  Mappings use
-    a "kind" key with matching fields; kind "explicit" takes depth and table.
+    "uniform", "bernoulli:P", "dirac:S", "product:P0,P1,...", or
+    "subset:SYMBOLS:P" (mass P spread over the given symbols).
     """
-    if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        name = name.strip().lower()
-        if name == "uniform":
-            if q is None:
-                raise ValueError("uniform measure needs the alphabet size")
-            return ProductMeasure.uniform(q)
-        if name == "bernoulli":
-            return ProductMeasure.bernoulli(_fraction(arg))
-        if name == "dirac":
-            if q is None:
-                raise ValueError("dirac measure needs the alphabet size")
-            symbols = word_symbols(arg.strip(), q)
-            if len(symbols) != 1:
-                raise ValueError(f"dirac needs exactly one symbol, got {arg!r}")
-            return DiracMeasure(q, symbols[0])
-        if name == "product":
-            probs = tuple(_fraction(x) for x in arg.split(","))
-            return ProductMeasure(len(probs), probs)
-        if name == "subset":
-            if q is None:
-                raise ValueError("subset measure needs the alphabet size")
-            symbols_text, _, p_text = arg.partition(":")
-            return ProductMeasure.concentrated(
-                q, word_symbols(symbols_text.strip(), q), _fraction(p_text)
-            )
-        raise ValueError(f"unknown measure descriptor {spec!r}")
-    kind = spec.get("kind")
-    if kind == "explicit":
-        return ExplicitMeasure(spec["q"], spec["depth"], spec["table"])
-    if kind == "product":
-        probs = tuple(_fraction(x) for x in spec["probs"])
+    name, _, arg = spec.partition(":")
+    name = name.strip().lower()
+    if name == "uniform":
+        if q is None:
+            raise ValueError("uniform measure needs the alphabet size")
+        return ProductMeasure.uniform(q)
+    if name == "bernoulli":
+        return ProductMeasure.bernoulli(_fraction(arg))
+    if name == "dirac":
+        if q is None:
+            raise ValueError("dirac measure needs the alphabet size")
+        symbols = word_symbols(arg.strip(), q)
+        if len(symbols) != 1:
+            raise ValueError(f"dirac needs exactly one symbol, got {arg!r}")
+        return DiracMeasure(q, symbols[0])
+    if name == "product":
+        probs = tuple(_fraction(x) for x in arg.split(","))
         return ProductMeasure(len(probs), probs)
-    if kind == "uniform":
-        return ProductMeasure.uniform(spec["q"])
-    if kind == "dirac":
-        return DiracMeasure(spec["q"], spec["symbol"])
-    raise ValueError(f"unknown measure spec {spec!r}")
+    if name == "subset":
+        if q is None:
+            raise ValueError("subset measure needs the alphabet size")
+        symbols_text, _, p_text = arg.partition(":")
+        return ProductMeasure.concentrated(
+            q, word_symbols(symbols_text.strip(), q), _fraction(p_text)
+        )
+    raise ValueError(f"unknown measure descriptor {spec!r}")
 
 
 #: the pushforward refusal: a length-e preimage word has q^e candidates

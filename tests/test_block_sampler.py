@@ -125,6 +125,10 @@ class TestGeometry:
         params = BlockMeasureParams(levels=2)
         assert containment_probability(params, 8) == Fraction(1, 8)
         assert containment_probability(params, 1) == 1
+        assert containment_probability(params, params.window_capacity + 1) == 0
+        for length in (0, -4):  # (cap - length + 1) / cap would exceed 1
+            with pytest.raises(ValueError, match=f"window length {length} is below 1"):
+                containment_probability(params, length)
 
 
 class TestXorPower:

@@ -106,21 +106,32 @@ class TestCorrelate:
         assert "1/3" in rows[-1]
 
 
-    def test_all_orders_pinned_and_quick(self, capsys, tmp_path):
-        # one radius recursion serves every order: each order once re-solved it
+    @staticmethod
+    def _correlate_digests(flags, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
-        argv = ["correlate", "2 2 01101001", "--A", "1", "--m", "60", "--out", str(out_path)]
+        argv = ["correlate", "2 2 01101001", "--A", "1", *flags, "--out", str(out_path)]
         start = time.perf_counter()
         assert main(argv) == 0
         elapsed = time.perf_counter() - start
         stdout = capsys.readouterr().out
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "5a82d42dd56b43f5dafce89cf35819fc9317ca4747f04e552705fd6f530b85ad"
-        )
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "7a12fa681f6211f737dccef3013b5b73695869c1423d652f54519c918cedb672"
-        )
+        csv_digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        return csv_digest, hashlib.sha256(stdout.encode()).hexdigest(), elapsed
+
+    def test_all_orders_pinned_and_quick(self, capsys, tmp_path):
+        # one division serves every order up to m
+        flags = ["--m", "60"]
+        csv_digest, stdout_digest, elapsed = self._correlate_digests(flags, capsys, tmp_path)
+        assert csv_digest == "5a82d42dd56b43f5dafce89cf35819fc9317ca4747f04e552705fd6f530b85ad"
+        assert stdout_digest == "7a12fa681f6211f737dccef3013b5b73695869c1423d652f54519c918cedb672"
         assert elapsed < 1.0
+
+    def test_high_orders_at_a_large_radius_pinned(self, capsys, tmp_path):
+        # digests recorded with the exact cell division and the radius recursion
+        flags = ["--m", "200", "--r-eff", "22"]
+        csv_digest, stdout_digest, elapsed = self._correlate_digests(flags, capsys, tmp_path)
+        assert csv_digest == "c31f5ca5d19ce249bacb5e2f19325db6d66c87829e5c18cc686c85a3001b5d82"
+        assert stdout_digest == "e204a5dcdbe305944e2bf79afd71ef093e5a92bccaa5dd9e10f6a33f2aef237f"
+        assert elapsed < 5.0
 
 
 class TestSweep:
@@ -613,8 +624,11 @@ def test_fn_apply_reports_the_window_length_used(capsys):
          "--max-period must be at least 1, got -3"),
         (["--r", "1", "--check", "high_domination", "--m-max", "-1"],
          "--m-max must be at least 0, got -1"),
+        # averages cover every rule of every radius; the file would go unread
+        (["--r", "1", "--check", "averages", "--rules-file", "rules.txt"],
+         "--check averages averages over every rule and reads no --rules-file"),
     ],
-    ids=["r", "max-period-0", "max-period-negative", "m-max"],
+    ids=["r", "max-period-0", "max-period-negative", "m-max", "averages-rules-file"],
 )
 def test_sweep_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"

@@ -290,27 +290,13 @@ class TestNormalizedCorrelation:
         ],
     )
     def test_orders_match_the_recursion_at_every_radius(self, descriptor, A, B):
-        # the integer division of the extra cells' factors, against the
-        # Fraction recursion alone, up to the largest radius histogram allows
+        # the one generating-function division against the Fraction radius
+        # recursion, up to the largest radius histogram allows
         rule = parse_rule(descriptor)
         top = 22 if rule.q == 2 else {3: 14, 4: 11}[rule.q]
         for r_eff in range(rule.r, top + 1):
             h = histogram(rule, A, B, r_eff)
             assert h.normalized_orders(4) == tuple(recursion_orders(h, 4))
-
-    def test_division_by_the_cell_factor(self):
-        divide = correlation_module._divide_cell
-        # (1 + 2x + x^2) / (1 + x) at q = 2, |A| = 1
-        assert divide([1, 2, 1], 2, 1) == [1, 1]
-        assert divide([1, 2, 2], 2, 1) is None
-        # |A| = 0: the factor is q; |A| = q: the factor is q x
-        assert divide([6, 3], 3, 0) == [2, 1]
-        assert divide([6, 4], 3, 0) is None
-        assert divide([0, 6, 3], 3, 3) == [2, 1]
-        assert divide([1, 6, 3], 3, 3) is None
-        # 2 + 2x is not primitive: 1 + x divides by it only over the rationals
-        assert divide([1, 1], 4, 2) is None
-        assert divide([0, 0, 0], 2, 1) == [0, 0]
 
     def test_radius_recursion(self):
         # correlation at radius rho+1 from the values at radius rho

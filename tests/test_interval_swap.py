@@ -224,6 +224,28 @@ class TestDenseFamily:
         assert interval_swap._ENGINES == cached
 
 
+NEGATIVE_LENGTH_CALLS = {
+    "count_avoiding": lambda: count_avoiding("10100", -1, 0, 5),
+    "unrank_avoiding": lambda: unrank_avoiding("10100", -1, 0, 0, 5),
+    "sparse_count": lambda: sparse_count(CANON, -1),
+    "unrank_sparse": lambda: unrank_sparse(CANON, -1, 0),
+    "safe_dense_count": lambda: safe_dense_count(CANON, -1),
+    "unrank_dense_safe": lambda: unrank_dense_safe(CANON, -1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_LENGTH_CALLS))
+def test_negative_length_refused_before_any_table(name):
+    # a negative index would read the last row of the cached table
+    count_avoiding("10100", 30, 0, 5)
+    cached = dict(interval_swap._ENGINES)
+    rows = [len(engine.rows) for engine in cached.values()]
+    with pytest.raises(ValueError, match="length -1 is negative"):
+        NEGATIVE_LENGTH_CALLS[name]()
+    assert interval_swap._ENGINES == cached
+    assert [len(engine.rows) for engine in cached.values()] == rows
+
+
 class TestDecomposition:
     def test_no_occurrences(self):
         d = decompose_intervals("0" * 40, CANON)

@@ -91,7 +91,7 @@ class TestMeasureConstruction:
 
     def test_dirac_is_one_hot_product(self):
         assert DiracMeasure(3, 2) == ProductMeasure(3, (Fraction(0), Fraction(0), Fraction(1)))
-        assert make_measure({"kind": "dirac", "q": 3, "symbol": 2}).cylinder("22") == 1
+        assert make_measure("dirac:2", 3).cylinder("22") == 1
         with pytest.raises(ValueError):
             DiracMeasure(2, 2)
 
