@@ -820,7 +820,8 @@ def run_swap_trials(
     if window_length is None:
         window_length = 3 * params.medium_bound
     # build the table before workers fork: the report is cached, but its
-    # engine may have been evicted since, and no free part outgrows the window
-    _params_engine(params, min(report.max_free_length, window_length))
+    # engine may have been evicted since, and no free part outgrows the window;
+    # vacuous parameters report max_free_length -1 and need only the empty row
+    _params_engine(params, max(min(report.max_free_length, window_length), 0))
     parts = map_ranges(_trial_range, count, jobs, params, seed, window_length)
     return [trial for part in parts for trial in part]

@@ -606,6 +606,13 @@ def test_fn_apply_negative_size_refused_before_output(flag, value, message, caps
     assert not out_path.exists()
 
 
+def test_fn_apply_runs_on_vacuous_parameters(capsys):
+    # valid but vacuous: no medium free-part length, so nothing is rewritten
+    argv = ["fn", "apply", "--n", "1", "--p", "1/50", "--windows", "2", "--jobs", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "2 windows, 0 rewrites, 0 failures (seed=0, length=177)\n"
+
+
 def test_fn_apply_reports_the_window_length_used(capsys):
     argv = ["fn", "apply", "--n", "2", "--p", "1/36", "--windows", "2", "--jobs", "1"]
     assert main([*argv, "--window-length", "0"]) == 0

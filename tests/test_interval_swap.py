@@ -676,6 +676,15 @@ class TestTrials:
         with pytest.raises(ValueError, match="negative"):
             run_swap_trials(CANON, count, seed=0, window_length=window_length)
 
+    def test_vacuous_parameters_run(self):
+        # no medium free-part length exists, so max_free_length reports -1
+        params = SwapParams(1, Fraction(1, 50))
+        report = interval_swap.check_swap_params(params)
+        assert report.valid and report.vacuous and report.max_free_length == -1
+        trials = run_swap_trials(params, 2, seed=0)
+        assert [(t.occurrences, t.complete, t.medium) for t in trials] == [(2, 1, 0), (4, 3, 0)]
+        assert all(t.involution_ok and t.occurrences_conserved for t in trials)
+
     def test_jobs_do_not_change_results(self):
         one = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=1)
         two = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=2)
