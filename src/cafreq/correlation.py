@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -83,6 +84,8 @@ class Histogram:
 
     def moment(self, m: int) -> int:
         """Order-m moment, with the convention 0^0 = 1 (Python's)."""
+        if m < 0:
+            raise ValueError("order must be >= 0")
         return sum(k**m * n for k, n in enumerate(self.counts))
 
     def normalized_orders(self, m: int) -> tuple[Fraction, ...]:
@@ -150,9 +153,9 @@ def histogram(
     Bset = normalize_symbols(B, q)
     in_a = [s in Aset for s in range(q)]
     counts = [0] * (r + 2)
-    for syms, image in zip(itertools.product(range(q), repeat=r + 1), rule.table):
+    for k, image in zip(map(sum, itertools.product(in_a, repeat=r + 1)), rule.table):
         if image in Bset:
-            counts[sum(in_a[s] for s in syms)] += 1
+            counts[k] += 1
     a = len(Aset)
     for _ in range(r_eff - r):
         counts = [(q - a) * n + a * m for n, m in zip(counts + [0], [0] + counts)]
@@ -194,6 +197,27 @@ def identity_correlation(q: int, a_size: int, r: int, m: int = 1) -> int:
     if not 0 <= a_size <= q:
         raise ValueError("symbol set size out of range")
     return (q + r * a_size) * a_size * q**r // q
+
+
+@cache
+def _identity_counts(q: int, r: int, a: int) -> tuple[int, ...]:
+    """The identity's histogram at radius r for A = B with |A| = a.
+
+    A neighborhood maps into A iff its first cell is in A, so it has k >= 1
+    symbols of A when j = k - 1 of the other r cells do:
+    N_k = a * comb(r, j) * a^j * (q-a)^(r-j), and N_0 = 0.
+    """
+    return (0, *(a * comb(r, j) * a**j * (q - a) ** (r - j) for j in range(r + 1)))
+
+
+def _moments(counts: Sequence[int], m_max: int) -> list[int]:
+    """sum_k counts[k] * k^m for m = 0..m_max (0^0 = 1), by repeated products."""
+    out = []
+    terms = list(counts)
+    for _ in range(m_max + 1):
+        out.append(sum(terms))
+        terms = [k * t for k, t in enumerate(terms)]
+    return out
 
 
 def weighted_square_sum(n: int, a) -> Fraction:
@@ -282,12 +306,14 @@ def check_high_domination(
         (N_id[k0] - N_rule[k0]) * k0^m > sum_{i<k0} |N_id[i] - N_rule[i]| * i^m
 
     holds at m; the criterion propagates to every larger order because the
-    k0 term grows at least as fast as each lower-index term.
+    k0 term grows at least as fast as each lower-index term.  The moment
+    inequality at order m is sum_k (N_id[k] - N_rule[k]) * k^m >= 0.
     """
-    q, r = rule.q, rule.r
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    r = rule.r
     h_rule = histogram(rule, A, A)
-    h_id = histogram(LocalRule.identity(q), A, A, r_eff=r)
-    diffs = [i - f for f, i in zip(h_rule.counts, h_id.counts)]
+    diffs = [i - f for f, i in zip(h_rule.counts, _identity_counts(rule.q, r, len(h_rule.A)))]
     k0 = None
     for k in range(r + 1, -1, -1):
         if diffs[k] != 0:
@@ -296,15 +322,13 @@ def check_high_domination(
     if k0 is None:
         return HighDominationReport(k0=None, strict_at_k0=None, m_star=0)
     strict = diffs[k0] > 0
-    moments_rule = [h_rule.moment(m) for m in range(m_max + 1)]
-    moments_id = [h_id.moment(m) for m in range(m_max + 1)]
+    # the moment inequality holds at every order from `first` on
+    first = max((m + 1 for m, gap in enumerate(_moments(diffs, m_max)) if gap < 0), default=0)
     m_star = None
-    for m in range(m_max + 1):
+    for m in range(first, m_max + 1):
         lead = diffs[k0] * k0**m
         tail = sum(abs(diffs[i]) * i**m for i in range(k0))
-        if lead <= tail:
-            continue
-        if all(moments_rule[mm] <= moments_id[mm] for mm in range(m, m_max + 1)):
+        if lead > tail:
             m_star = m
             break
     return HighDominationReport(k0=k0, strict_at_k0=strict, m_star=m_star)
@@ -326,12 +350,12 @@ def check_prefix_sum_conjecture(rule: LocalRule) -> PrefixSumReport:
     if rule.q != 2:
         raise ValueError("prefix-sum check is defined for binary rules")
     h_rule = histogram(rule, [1], [1])
-    h_id = histogram(LocalRule.identity(2), [1], [1], r_eff=rule.r)
+    id_counts = _identity_counts(2, rule.r, 1)
     acc_rule = 0
     acc_id = 0
     for n in range(rule.r + 2):
         acc_rule += h_rule.counts[n]
-        acc_id += h_id.counts[n]
+        acc_id += id_counts[n]
         if acc_rule < acc_id:
             return PrefixSumReport(
                 holds=False, witness_n=n, surjective=is_surjective(rule)
@@ -370,8 +394,7 @@ class ConservationReport:
 def histogram_matches_identity(rule: LocalRule, A: SymbolsLike) -> bool:
     """Histogram equality with the identity rule at the rule's radius."""
     h_rule = histogram(rule, A, A)
-    h_id = histogram(LocalRule.identity(rule.q), A, A, r_eff=rule.r)
-    return h_rule.counts == h_id.counts
+    return h_rule.counts == _identity_counts(rule.q, rule.r, len(h_rule.A))
 
 
 def _periodic_image(rule: LocalRule, syms: Sequence[int]) -> list[int]:
@@ -392,14 +415,20 @@ def find_conservation_violation(
 
     Returns the first violating (config, image) in (period, lexicographic)
     order, or None.  Sound for violation, incomplete for conservation.
-    Refuses q^max_period > MAX_SCAN_WORDS before scanning.
+    Refuses max_period < 1, and q^max_period > MAX_SCAN_WORDS before scanning.
     """
     q = rule.q
-    check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
+    _check_max_period(q, max_period)
     configs = (
         syms for p in range(1, max_period + 1) for syms in itertools.product(range(q), repeat=p)
     )
     return _first_violation(rule, normalize_symbols(A, q), configs)
+
+
+def _check_max_period(q: int, max_period: int) -> None:
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
 
 
 def _first_violation(
@@ -430,12 +459,12 @@ def conserves_symbols(
     (default 2r+1): the first witness, or None.  Some witness always has
     period at most 2r+1 (see `_walk_witness`), so the default finds one.
     When q^(2r+1) exceeds MAX_SCAN_WORDS, the default returns the walk
-    witness instead of scanning.  An explicit q^max_period > MAX_SCAN_WORDS
-    is refused before deciding.
+    witness instead of scanning.  An explicit max_period < 1 or
+    q^max_period > MAX_SCAN_WORDS is refused before deciding.
     """
     q, r, table = rule.q, rule.r, rule.table
     if max_period is not None:
-        check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
+        _check_max_period(q, max_period)
     Aset = normalize_symbols(A, q)
     qr = q**r
     g = [(table[w] in Aset) - (w // qr in Aset) for w in range(len(table))]

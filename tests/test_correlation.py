@@ -104,6 +104,25 @@ def recursion_orders(h, m):
     return vals
 
 
+def moment_list_high_domination(rule, A, m_max):
+    """The domination check as it was written: both histograms, both moment lists."""
+    r = rule.r
+    h_rule = histogram(rule, A, A)
+    h_id = histogram(LocalRule.identity(rule.q), A, A, r_eff=r)
+    diffs = [i - f for f, i in zip(h_rule.counts, h_id.counts)]
+    k0 = next((k for k in range(r + 1, -1, -1) if diffs[k] != 0), None)
+    if k0 is None:
+        return (None, None, 0)
+    for m in range(m_max + 1):
+        lead = diffs[k0] * k0**m
+        tail = sum(abs(diffs[i]) * i**m for i in range(k0))
+        if lead > tail and all(
+            h_rule.moment(mm) <= h_id.moment(mm) for mm in range(m, m_max + 1)
+        ):
+            return (k0, diffs[k0] > 0, m)
+    return (k0, diffs[k0] > 0, None)
+
+
 def per_order_normalized(h, m):
     """Order m alone: the radius recursion truncated at m."""
     return recursion_orders(h, m)[m]
@@ -165,6 +184,31 @@ class TestHistogram:
                                 assert histogram(rule, A, B, r_eff).counts == expected
                                 cases += 1
         assert cases == 8416
+
+    def test_identity_closed_form_matches_the_histogram(self):
+        for q in (2, 3, 4):
+            for r in range(7):
+                for A in proper_subsets(q):
+                    expected = histogram(LocalRule.identity(q), A, A, r_eff=r).counts
+                    assert correlation_module._identity_counts(q, r, len(A)) == expected
+
+    def test_moment_list_matches_each_moment(self):
+        rng = SplitMix64(15)
+        with_zero_cell = 0
+        for q, r in ((2, 3), (3, 2), (4, 1)):
+            for _ in range(20):
+                rule = random_rule(q, r, rng)
+                A = proper_subsets(q)[rng.below(2**q - 2)]
+                h = histogram(rule, A, A)
+                with_zero_cell += h.counts[0] > 0
+                moments = correlation_module._moments(h.counts, 20)
+                assert moments == [h.moment(m) for m in range(21)]
+        assert with_zero_cell > 0  # 0^0 = 1 is exercised
+        assert correlation_module._moments((5, -3, 2), 2) == [4, 1, 5]
+
+    def test_negative_moment_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            histogram(XOR, [1], [1]).moment(-1)
 
     def test_identity_histograms_match_the_scan(self):
         for q in (2, 3, 5):
@@ -461,6 +505,27 @@ class TestHighDomination:
         rep = check_high_domination(XOR, [1], m_max=0)
         assert rep.k0 == 2 and rep.m_star is None
 
+    def test_negative_order_bound_refused(self):
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            check_high_domination(XOR, [1], m_max=-1)
+
+    def test_matches_the_moment_lists(self):
+        # every rule at q=2 r<=2, the surjective ones at q=2 r=3 and q=3 r=1,
+        # and random ternary ones, with order bounds that cut
+        rng = SplitMix64(1969)
+        sample = [rule for r in range(3) for rule in enumerate_rules(2, r)]
+        sample += [*surjective_rules(2, 3), *surjective_rules(3, 1)]
+        sample += [random_rule(3, r, rng) for r in (1, 2) for _ in range(100)]
+        cases = set()
+        for rule in sample:
+            for A in proper_subsets(rule.q):
+                for m_max in (0, 2, 16):
+                    rep = check_high_domination(rule, A, m_max=m_max)
+                    expected = moment_list_high_domination(rule, A, m_max)
+                    assert (rep.k0, rep.strict_at_k0, rep.m_star) == expected, rule.format()
+                    cases.add(expected[2])
+        assert {None, 0, 1, 2}.issubset(cases)
+
     def test_strictness_over_surjective_binary(self):
         for r in (0, 1, 2, 3):
             for rule in surjective_rules(2, r):
@@ -661,6 +726,14 @@ class TestConservation:
             for A in proper_subsets(rule.q):
                 expected = find_conservation_violation(rule, A, 3 * (rule.r + 1))
                 assert conserves_symbols(rule, A).witness == expected
+
+    def test_period_bound_below_one_refused(self):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            find_conservation_violation(XOR, [1], 0)
+
+    def test_decision_refuses_period_bound_below_one(self):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            conserves_symbols(XOR, {1}, 0)
 
     def test_explicit_period_bound_refused_before_deciding(self):
         with pytest.raises(ValueError, match="q\\^max_period = 2\\^25 exceeds limit"):

@@ -83,6 +83,20 @@ def _pairs_balanced(rule):
     return rules._words_balanced(rule.q, rule.r, np.array([rule.table]), 2)[0]
 
 
+def permutive_tables(q, r):
+    """Oracle: every left- or right-permutive table, one permutation per r-word.
+
+    Right-permutive: the neighborhood (u, b) maps to perms[u][b]; left-permutive:
+    (a, u) maps to perms[u][a].
+    """
+    qr = q**r
+    out = set()
+    for perms in itertools.product(itertools.permutations(range(q)), repeat=qr):
+        out.add(tuple(perms[w // q][w % q] for w in range(q * qr)))
+        out.add(tuple(perms[w % qr][w // qr] for w in range(q * qr)))
+    return out
+
+
 def filtered_rules(q, r, rng, count):
     """`count` shuffled balanced tables that also pass the length-2 filter."""
     out = []
@@ -355,6 +369,25 @@ class TestSurjectivity:
         monkeypatch.setattr(rules, "is_balanced", unreachable)
         with pytest.raises(ValueError, match="pair-graph vertices"):
             is_surjective(LocalRule(2, 10, tuple(0 for _ in range(2**11))))
+        with pytest.raises(ValueError, match="pair-graph vertices"):
+            is_surjective(self_compose(XOR, 10))  # permutive: refused before the exit
+
+    @pytest.mark.parametrize("q, r, count", [(2, 1, 6), (2, 2, 28), (2, 3, 496), (3, 1, 420)])
+    def test_permutive_exit_agrees_with_the_pair_graph(self, q, r, count, monkeypatch):
+        # 950 permutive tables in all; the pair graph alone finds each surjective
+        tables = permutive_tables(q, r)
+        assert len(tables) == count
+        for rule in enumerate_rules(q, r):
+            assert rules._permutive(rule) == (rule.table in tables), rule.format()
+        for table in tables:
+            assert rules._pair_graph_surjective(LocalRule(q, r, table))
+
+        def unreachable(rule):
+            raise AssertionError("a permutive rule reached the pair graph")
+
+        monkeypatch.setattr(rules, "_pair_graph_surjective", unreachable)
+        for table in tables:
+            assert is_surjective(LocalRule(q, r, table))
 
     def test_largest_accepted_sizes(self):
         # q = 36 at r = 1 and binary rules at r = 9 are within the cap
@@ -370,6 +403,7 @@ class TestSurjectivity:
         for rule in enumerate_rules(q, r):
             expected = subset_construction_surjective(rule)
             assert is_surjective(rule) == expected, rule.format()
+            assert rules._pair_graph_surjective(rule) == expected, rule.format()
             found += expected
         assert found == surjective
 
@@ -390,6 +424,7 @@ class TestSurjectivity:
 
     def test_composites_beyond_the_subset_construction(self):
         a, b, c = SURJ_R3
+        assert not any(rules._permutive(rule) for rule in (a, b, c, NONSURJ_R3))
         assert is_surjective(compose(a, b))  # r = 6
         assert is_surjective(compose(compose(a, b), c))  # r = 9
         assert not is_surjective(NONSURJ_R3)
@@ -483,8 +518,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1000, 40001)), (3, 1, (500, 9999))])
     def test_uneven_ranges_concatenate_to_the_whole(self, q, r, cuts):
-        # the cuts fall inside prefilter chunks (256 tables at (2, 3), 202 at (3, 1))
+        # each cut falls strictly inside a prefilter chunk of the whole range
         count = rule_count(q, r)
+        step = max(1, rules.PREFILTER_CELLS // q ** (r + 3))
+        assert step < count and all(0 < cut % step for cut in cuts)
         bounds = (0, *cuts, count)
         parts = [
             rules._surjective_in_range(q, r, count, lo, hi)
