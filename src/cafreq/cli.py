@@ -270,9 +270,7 @@ def _cmd_measure_pushforward(args) -> int:
     if args.t_max is not None:
         _refuse_below("--t-max", args.t_max, 0)
     t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
-    # the largest step count composes the largest table and has the most
-    # preimages: refuse it before output
-    rules.check_composed_size(rule.q, rule.r, max(t_values))
+    # the largest step count has the largest table and the most preimages
     measures.check_iterate_pushforward(rule, max(t_values), args.word, args.limit)
     rows = []
     for t in t_values:
@@ -470,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_contr.add_argument("rule")
     p_contr.add_argument("--measure", required=True)
     p_contr.add_argument("--n", type=int, required=True, help="cylinder length")
-    p_contr.add_argument("--limit", type=int, default=measures.DEFAULT_PUSHFORWARD_LIMIT)
+    p_contr.add_argument("--limit", type=int, help="most cylinder-vector cells (default 2^23)")
     p_contr.add_argument("--out", help="CSV output path")
     p_contr.set_defaults(func=_cmd_measure_contraction)
 

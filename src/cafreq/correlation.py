@@ -190,10 +190,8 @@ def correlation_report(
     return CorrelationReport(order=m, raw=h.moment(m), normalized=normalized)
 
 
-def identity_correlation(q: int, a_size: int, r: int, m: int = 1) -> int:
+def identity_correlation(q: int, a_size: int, r: int) -> int:
     """Closed form (q + r*a) * a * q^(r-1) for the identity rule, order 1."""
-    if m != 1:
-        raise ValueError("closed form available for order 1 only")
     if not 0 <= a_size <= q:
         raise ValueError("symbol set size out of range")
     return (q + r * a_size) * a_size * q**r // q

@@ -2,13 +2,13 @@
 
 A measure is represented by its exact rational cylinder values: the
 probability that a given finite word appears at position 0.  Product,
-uniform, Dirac, and finite-depth explicit tables are supported.  Pushing a
-measure forward under a rule sums the measure over all preimage words.  For
-a product measure with integer weights n_s over a common denominator D that
-sum is an integer over D^(|w|+r), and a transfer matrix over the q^r de
-Bruijn states adds it up without listing the preimages; other measures
-enumerate them.  Everything is exact except block entropy, which is the one
-floating-point diagnostic (it needs logarithms).
+uniform, Dirac, and finite-depth explicit tables are supported.  Exact
+values are integers over one denominator.  A cylinder vector holds them for
+every word of one length; a rule pushes it from words of n + r cells onto
+their images of n cells (`rules._image_index`), and the contraction,
+invariance and entropy checks read such vectors.  One cylinder of a product
+measure sums its preimage weights along a transfer matrix instead.  Block
+entropy is the one floating-point diagnostic (it needs logarithms).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .correlation import SymbolsLike, histogram, normalize_symbols
 from .rules import (
     DIGITS,
     LocalRule,
-    _preimage_iter,
+    _image_index,
+    check_composed_size,
     check_size,
     self_compose,
     symbols_word,
@@ -36,8 +37,9 @@ from .rules import (
 
 DEFAULT_PUSHFORWARD_LIMIT = 1 << 26
 
-V = TypeVar("V", int, Fraction)
-Word = tuple[int, ...]
+#: the checks that build cylinder vectors refuse more cells than this by
+#: default: contraction at 2^23 cells peaks at about 340 MB
+MAX_VECTOR_CELLS = 1 << 23
 
 
 class CylinderMeasure:
@@ -192,54 +194,67 @@ def make_measure(spec: str, q: Optional[int] = None) -> CylinderMeasure:
 _PREIMAGES = "preimage enumeration q^{e} = {size}"
 
 
-class _TransferMatrix:
-    """Preimage weights of a rule under integer symbol weights n.
+def _check_vector(limit: Optional[int], what: str, q: int, exponent: int) -> None:
+    """Refuse a cylinder vector of q^exponent cells over `limit` before it is built.
 
-    A state is the table index of the last r cells of a partial preimage,
-    one of the q^r de Bruijn words of length r.  A vector over the states
-    holds, per state, the sum of prod n[s] over the partial preimages that
-    end there; reading an output symbol a extends each one by every cell b
-    whose neighborhood state*q + b maps to a.  After the whole word the
-    vector sums to the weight of the word's preimage set.  Entries are
-    Python ints in numpy object arrays, so nothing overflows.
+    By default: over DEFAULT_PUSHFORWARD_LIMIT, as a pushforward, then over MAX_VECTOR_CELLS.
     """
+    if limit is None:
+        check_size(DEFAULT_PUSHFORWARD_LIMIT, what, q, exponent)
+    check_size(MAX_VECTOR_CELLS if limit is None else limit, what, q, exponent)
 
-    def __init__(self, rule: LocalRule, n: Sequence[int]):
-        self.q, self.states = rule.q, rule.q**rule.r
-        table = np.array(rule.table, dtype=np.uint8).reshape(self.states, self.q)
-        weights = np.array(n, dtype=object)
-        # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
-        self.hits = [np.where(table == a, weights, 0) for a in range(self.q)]
-        start = np.ones(1, dtype=object)
-        for _ in range(rule.r):
-            start = (start[:, None] * weights).reshape(-1)
-        self.start = start
 
-    def step(self, v: np.ndarray, a: int) -> np.ndarray:
+def _cylinder_vector(mu: CylinderMeasure, n: int) -> tuple[np.ndarray, int]:
+    """(v, D) with mu([u]) = v[u] / D for every length-n word u.
+
+    v holds Python ints (object dtype) indexed by word, base q, leftmost
+    cell most significant.  A product measure gives the outer product of its
+    integer weights over D^n, each distinct product built once and shared;
+    any other measure its cylinder values over their least common denominator.
+    """
+    if isinstance(mu, ProductMeasure):
+        denominator, weights = mu.weights
+        values, index = [1], np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            products: dict[int, int] = {}  # extend[i][s] numbers values[i] * weights[s]
+            extend = [[products.setdefault(x * w, len(products)) for w in weights] for x in values]
+            values = list(products)
+            index = np.array(extend, dtype=np.int64)[index].reshape(-1)
+        return np.array(values, dtype=object)[index], denominator**n
+    values = [mu.cylinder(symbols_word(u)) for u in itertools.product(range(mu.q), repeat=n)]
+    denominator = math.lcm(*(x.denominator for x in values))
+    return np.array([int(x * denominator) for x in values], dtype=object), denominator
+
+
+def _push(rule: LocalRule, v: np.ndarray) -> np.ndarray:
+    """Push a cylinder vector over n + r cells onto n cells: u sums v over u's preimages."""
+    q, r = rule.q, rule.r
+    n = round(math.log(len(v), q)) - r
+    image = _image_index(q, r, np.array([rule.table], dtype=np.int64), n)[0]
+    out = np.zeros(q**n, dtype=object)
+    np.add.at(out, image, v)
+    return out
+
+
+def _transfer_weight(rule: LocalRule, mu: ProductMeasure, syms: Sequence[int]) -> int:
+    """Sum of prod n[s] over the preimages of one word, n the integer weights of mu.
+
+    A vector over the q^r de Bruijn states (the table index of the last r
+    cells) holds the weight of the partial preimages ending in each; it
+    starts as mu's cylinder vector at length r, and reading an output a
+    extends each by every cell b whose neighborhood state*q + b maps to a.
+    """
+    q, states = rule.q, rule.q**rule.r
+    table = np.array(rule.table, dtype=np.uint8).reshape(states, q)
+    weights = np.array(mu.weights[1], dtype=object)
+    # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
+    hits = [np.where(table == a, weights, 0) for a in range(q)]
+    v = _cylinder_vector(mu, rule.r)[0]
+    for a in syms:
         # row-major (state, b) is the neighborhood index; its last r cells,
         # the next state, are the index modulo q^r
-        return (v[:, None] * self.hits[a]).reshape(self.q, self.states).sum(axis=0)
-
-    def weight(self, syms: Sequence[int]) -> int:
-        v = self.start
-        for a in syms:
-            v = self.step(v, a)
-        return int(v.sum())
-
-    def word_weights(self, n: int) -> Iterator[tuple[Word, int]]:
-        """(u, weight) for every length-n word u, in lexicographic order.
-
-        Depth first: each prefix's vector is computed once and extended.
-        """
-
-        def extend(prefix: Word, v: np.ndarray):
-            if len(prefix) == n:
-                yield prefix, int(v.sum())
-                return
-            for a in range(self.q):
-                yield from extend(prefix + (a,), self.step(v, a))
-
-        return extend((), self.start)
+        v = (v[:, None] * hits[a]).reshape(q, states).sum(axis=0)
+    return int(v.sum())
 
 
 def _check_alphabets(rule: LocalRule, mu: CylinderMeasure) -> None:
@@ -253,19 +268,21 @@ def pushforward(
     word: str,
     limit: int = DEFAULT_PUSHFORWARD_LIMIT,
 ) -> Fraction:
-    """Image-measure cylinder value: the measure of the word's preimage set."""
+    """Image-measure cylinder value: the measure of the word's preimage set.
+
+    A product measure runs a transfer matrix along the word.  Any other
+    measure pushes its vector over |word| + r cells (its table holds them).
+    """
     if len(word) < 1:
         raise ValueError("pushforward needs a nonempty word")
     _check_alphabets(rule, mu)
-    check_size(limit, _PREIMAGES, rule.q, len(word) + rule.r)
-    if not isinstance(mu, ProductMeasure):
-        return sum(
-            (mu.cylinder(w) for w in _preimage_iter(rule, word)), Fraction(0)
-        )
+    cells = len(word) + rule.r
+    check_size(limit, _PREIMAGES, rule.q, cells)
     syms = word_symbols(word, rule.q)
-    denominator, n = mu.weights
-    total = _TransferMatrix(rule, n).weight(syms)
-    return Fraction(total, denominator ** (len(syms) + rule.r))
+    if isinstance(mu, ProductMeasure):
+        return Fraction(_transfer_weight(rule, mu, syms), mu.weights[0] ** cells)
+    v, denominator = _cylinder_vector(mu, cells)
+    return Fraction(_push(rule, v)[int(word, rule.q)], denominator)
 
 
 def iterate_pushforward(
@@ -290,6 +307,7 @@ def check_iterate_pushforward(
         raise ValueError("step count must be >= 0")
     if t:
         check_size(limit, _PREIMAGES, rule.q, len(word) + t * rule.r)
+        check_composed_size(rule.q, rule.r, t)
         if not word:
             raise ValueError("pushforward needs a nonempty word")
 
@@ -336,76 +354,59 @@ class ContractionReport:
     witness_w: str
 
 
-def _words(q: int, n: int) -> Iterator[Word]:
-    """Every length-n symbol tuple, in lexicographic order."""
-    return itertools.product(range(q), repeat=n)
-
-
-def _farthest(values: Iterable[tuple[Word, V]], center: V) -> tuple[V, Word]:
-    """Largest |value - center| and the first word attaining it."""
-    best, witness = -1, ()
-    for u, value in values:
-        d = abs(value - center)
-        if d > best:
-            best, witness = d, u
-    return best, witness
+def _farthest(v: np.ndarray, denominator: int, q: int, n: int) -> tuple[Fraction, str]:
+    """Largest |v[u] / D - q^-n| over length-n words u, and the first u attaining it."""
+    scale = q**n  # |x / D - 1 / q^n| = |x q^n - D| / (D q^n)
+    d = np.abs(v * scale - denominator)
+    i = int(np.argmax(d))
+    return Fraction(d[i], denominator * scale), np.base_repr(i, q).zfill(n).lower()
 
 
 def check_uniform_contraction(
     rule: LocalRule,
     mu: CylinderMeasure,
     n: int,
-    limit: int = DEFAULT_PUSHFORWARD_LIMIT,
+    limit: Optional[int] = None,
 ) -> ContractionReport:
     """Compare sup-distance to uniform before and after one rule step.
 
     lhs is the maximum of |F mu([u]) - q^-n| over length-n words u, rhs the
     same maximum for mu itself; holds means lhs <= rhs.  Witnesses are the
-    lexicographically first maximizers.  For a product measure both sides
-    are compared as integer numerators over their common denominators.
+    lexicographically first maximizers.  Both sides are cylinder vectors,
+    compared as integers; the image's q^(n+r) cells are refused over
+    `limit` (see `_check_vector`).
     """
     if n < 1:
         raise ValueError("cylinder length must be >= 1")
-    q = rule.q
-    check_size(limit, _PREIMAGES, q, n + rule.r)
+    _check_vector(limit, _PREIMAGES, rule.q, n + rule.r)
     _check_alphabets(rule, mu)
-    if isinstance(mu, ProductMeasure):
-        denominator, weights = mu.weights
-        scale = q**n  # |x / D^k - 1 / q^n| = |x q^n - D^k| / (D^k q^n)
-        image_unit, base_unit = denominator ** (n + rule.r), denominator**n
-        image = _TransferMatrix(rule, weights).word_weights(n)
-        base = ((u, math.prod(weights[s] for s in u)) for u in _words(q, n))
-        lhs, witness_u = _farthest(((u, x * scale) for u, x in image), image_unit)
-        rhs, witness_w = _farthest(((u, x * scale) for u, x in base), base_unit)
-        lhs, rhs = Fraction(lhs, image_unit * scale), Fraction(rhs, base_unit * scale)
-    else:
-        lam = Fraction(1, q**n)
-        image = ((u, pushforward(rule, mu, symbols_word(u), limit)) for u in _words(q, n))
-        base = ((u, mu.cylinder(symbols_word(u))) for u in _words(q, n))
-        lhs, witness_u = _farthest(image, lam)
-        rhs, witness_w = _farthest(base, lam)
-    return ContractionReport(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        witness_u=symbols_word(witness_u),
-        witness_w=symbols_word(witness_w),
-    )
+    v, denominator = _cylinder_vector(mu, n + rule.r)
+    lhs, witness_u = _farthest(_push(rule, v), denominator, rule.q, n)
+    rhs, witness_w = _farthest(*_cylinder_vector(mu, n), rule.q, n)
+    return ContractionReport(lhs, rhs, lhs <= rhs, witness_u, witness_w)
 
 
 def check_measure_invariance(
     rule: LocalRule,
     mu: CylinderMeasure,
     depth: int,
-    limit: int = DEFAULT_PUSHFORWARD_LIMIT,
+    limit: Optional[int] = None,
 ) -> bool:
-    """True iff the pushforward agrees with mu on all cylinders up to depth."""
-    q = rule.q
+    """True iff the pushforward agrees with mu on all cylinders up to depth.
+
+    One length l at a time, so a mismatch returns False before a longer
+    length is refused; q^(l+r) cells are refused over `limit` (see
+    `_check_vector`).
+    """
+    if depth < 1:
+        raise ValueError("invariance depth must be >= 1")
+    _check_alphabets(rule, mu)
     for length in range(1, depth + 1):
-        for syms in itertools.product(range(q), repeat=length):
-            u = symbols_word(syms)
-            if pushforward(rule, mu, u, limit) != mu.cylinder(u):
-                return False
+        _check_vector(limit, _PREIMAGES, rule.q, length + rule.r)
+        v, denominator = _cylinder_vector(mu, length + rule.r)
+        base, base_denominator = _cylinder_vector(mu, length)
+        if np.any(_push(rule, v) * base_denominator != base * denominator):
+            return False
     return True
 
 
@@ -418,27 +419,26 @@ class BlockEntropyReport:
 
 
 def _block_entropy_value(mu: CylinderMeasure, n: int) -> float:
-    if n == 0:
-        return 0.0
+    v, denominator = _cylinder_vector(mu, n)
     total = 0.0
-    for syms in itertools.product(range(mu.q), repeat=n):
-        p = mu.cylinder(symbols_word(syms))
-        if p > 0:
-            pf = float(p)
-            total -= pf * math.log(pf)
+    for x in v.tolist():
+        if x:
+            p = x / denominator  # correctly rounded, as float(Fraction(x, D)) is
+            total -= p * math.log(p)
     return total
 
 
 def block_entropy(
-    mu: CylinderMeasure, n: int, limit: int = DEFAULT_PUSHFORWARD_LIMIT
+    mu: CylinderMeasure, n: int, limit: Optional[int] = None
 ) -> BlockEntropyReport:
     """Shannon entropy of the length-n cylinder distribution (nats, float).
 
-    The one deliberately inexact diagnostic in this module.
+    The one deliberately inexact diagnostic in this module.  Its q^n
+    cylinder values are refused over `limit` (see `_check_vector`).
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    check_size(limit, "q^n = {size}", mu.q, n)
+    _check_vector(limit, "q^n = {size}", mu.q, n)
     h_n = _block_entropy_value(mu, n)
     h_prev = _block_entropy_value(mu, n - 1)
     return BlockEntropyReport(n=n, value=h_n, rate=h_n / n, increment=h_n - h_prev)

@@ -191,26 +191,34 @@ def iterate_word(rule: LocalRule, word: str, t: int) -> str:
     return symbols_word(syms)
 
 
+def _image_index(q: int, r: int, tables: np.ndarray, length: int) -> np.ndarray:
+    """Base-q index of the image of every word of r + length cells, per table row.
+
+    Each row of `tables` is one radius-r rule table.  Image cell j reads the
+    r + 1 cells from j, the middle axis of the word indices laid out as
+    (q^j, q^(r+1), q^(length-1-j)): one broadcast add per cell.
+    """
+    rows, width = len(tables), q ** (r + 1)
+    image = np.zeros((rows, q ** (r + length)), dtype=np.int64)
+    cells = tables.reshape(rows, 1, width, 1)
+    for j in range(length):
+        image *= q
+        window = image.reshape(rows, q**j, width, q ** (length - 1 - j))
+        window += cells
+    return image
+
+
 def compose(f: LocalRule, g: LocalRule) -> LocalRule:
     """Rule computing f after g, of radius f.r + g.r.
 
-    Built over every neighborhood at once.  Cell j of g's image reads the
-    g.r + 1 digits starting at j, which are the middle axis when the
-    neighborhood indices are laid out as (q^j, q^(g.r+1), q^(f.r-j)); those
-    f.r + 1 image cells are the index into f's table.
+    Built over every neighborhood at once: g's image of each one, as an
+    index (`_image_index`), looks up f's table.
     """
     if f.q != g.q:
         raise ValueError("cannot compose rules over different alphabets")
-    q = f.q
-    width = q ** (g.r + 1)
-    g_table = np.array(g.table, dtype=np.int64).reshape(1, width, 1)
-    inner = np.zeros(q ** (f.r + g.r + 1), dtype=np.int64)
-    for j in range(f.r + 1):
-        inner *= q
-        window = inner.reshape(q**j, width, q ** (f.r - j))
-        window += g_table
+    inner = _image_index(g.q, g.r, np.array([g.table], dtype=np.int64), f.r + 1)[0]
     table = np.array(f.table, dtype=np.uint8)[inner]
-    return LocalRule(q, f.r + g.r, tuple(table.tolist()))
+    return LocalRule(f.q, f.r + g.r, tuple(table.tolist()))
 
 
 def check_composed_size(q: int, r: int, t: int) -> None:
@@ -413,17 +421,11 @@ def check_rule_space(q: int, r: int, limit: int) -> int:
 def _words_balanced(q: int, r: int, tables: np.ndarray, length: int) -> np.ndarray:
     """Which rows of `tables` give every word of `length` cells q^r preimages.
 
-    Each row is one rule table.  Preimage word w of length + r cells has
-    image cell j from the neighborhood w[j : j+r+1]; one bincount, offset
-    per row, counts the images.
+    Each row is one rule table; one bincount, offset per row, counts images.
     """
     rows = len(tables)
     words = q**length
-    w = np.arange(q ** (r + length), dtype=np.int64)
-    image = np.zeros((rows, len(w)), dtype=np.int64)
-    for j in range(length):
-        image *= q
-        image += tables[:, w // q ** (length - 1 - j) % q ** (r + 1)]
+    image = _image_index(q, r, tables, length)
     image += np.arange(rows, dtype=np.int64)[:, None] * words
     counts = np.bincount(image.ravel(), minlength=rows * words)
     return (counts.reshape(rows, words) == q**r).all(axis=1)

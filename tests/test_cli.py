@@ -266,6 +266,48 @@ class TestMeasureCommands:
         assert code == 1
         assert "holds: False" in capsys.readouterr().out
 
+    # (exit code, SHA-256 of CSV bytes, of stdout), recorded while product
+    # measures walked a transfer matrix depth first and others summed preimages
+    CONTRACTION_DIGESTS = {
+        "r2-n10": (
+            ["2 2 01101001", "--measure", "bernoulli:1/3", "--n", "10"], 0,
+            "26fb2fd99ff5f453b12c8d51b242c428ea0f2c6a20b8afe3eb9170dfcefb6850",
+            "d20afa76111eb5edb3755a66ce2e036c3b9e0c07c5214df45539e6041dd95338",
+        ),
+        "q3-zero-weight": (
+            ["3 1 012120201", "--measure", "product:1/5,0,4/5", "--n", "4"], 0,
+            "d6cd6b07ecfbff156922d9907567ebedb3a2f44fd735e6a61a2b6a9a7d5e4243",
+            "ac68284b1176cdfff835684d8706787fba8e117717271b9223509d276087b084",
+        ),
+        "violated": (
+            ["2 1 0001", "--measure", "bernoulli:1/3", "--n", "5"], 1,
+            "bd0ba27eba3e2e8d9ad454f22020c20f909879fac2764446ec9b91501d89d273",
+            "7974c37c453d744d980cf67d86c3f635bb2312e6c659dcb171d533801873e353",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONTRACTION_DIGESTS))
+    def test_contraction_digests(self, name, capsys, tmp_path):
+        argv, code, csv_digest, stdout_digest = self.CONTRACTION_DIGESTS[name]
+        out_path = tmp_path / "contraction.csv"
+        assert main(["measure", "contraction", *argv, "--out", str(out_path)]) == code
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+
+    def test_contraction_vector_refused_before_output(self, capsys, tmp_path):
+        # 2^24 cylinder-vector cells: over the default of 2^23, under the old 2^26
+        out_path = tmp_path / "out.csv"
+        argv = ["measure", "contraction", "2 2 01101001", "--measure", "bernoulli:1/3",
+                "--n", "22", "--out", str(out_path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "preimage enumeration q^24 = 16777216 exceeds limit 8388608" in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
+
     # SHA-256 of (CSV bytes, stdout), recorded while cylinder
     # values were still sums of Fraction products over enumerated preimages
     DIGESTS = {

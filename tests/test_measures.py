@@ -21,6 +21,7 @@ from cafreq import (
     pushforward_mass_from_histogram,
     surjective_rules,
 )
+from cafreq import measures
 from cafreq.rng import SplitMix64
 from cafreq.rules import iterate_word, preimages, random_rule, symbols_word
 
@@ -45,6 +46,12 @@ def words_up_to(q, n):
     for length in range(1, n + 1):
         for syms in itertools.product(range(q), repeat=length):
             yield symbols_word(syms)
+
+
+def explicit_twin(mu, depth):
+    """The same measure as an explicit table of every word up to depth."""
+    table = {u: mu.cylinder(u) for u in words_up_to(mu.q, depth)}
+    return ExplicitMeasure(mu.q, depth, {"": Fraction(1), **table})
 
 
 def kernel_cases(seed, radii=(0, 1, 2, 3)):
@@ -189,8 +196,7 @@ class TestKernelOracle:
             rule = random_rule(q, 1, rng)
             for spec in KERNEL_MEASURES[q]:
                 mu = make_measure(spec, q)
-                table = {u: mu.cylinder(u) for u in words_up_to(q, 4)}
-                explicit = ExplicitMeasure(q, 4, {"": Fraction(1), **table})
+                explicit = explicit_twin(mu, 4)
                 for u in words_up_to(q, 3):
                     assert pushforward(rule, explicit, u) == pushforward(rule, mu, u)
 
@@ -217,6 +223,16 @@ class TestIteratePushforward:
     def test_bernoulli_two_steps(self):
         mu = ProductMeasure.bernoulli(Fraction(1, 4))
         assert iterate_pushforward(XOR, mu, 2, "1") == Fraction(3, 8)
+
+    def test_precheck_refuses_the_composed_table(self):
+        # radius 24 with one letter: 2^25 preimages pass, the 2^25-cell table does not
+        rule = parse_rule("2 2 01101001")
+        measures.check_iterate_pushforward(rule, 11, "1")
+        message = r"composed rule table of 2\^25 cells exceeds limit 8388608"
+        with pytest.raises(ValueError, match=message):
+            measures.check_iterate_pushforward(rule, 12, "1")
+        with pytest.raises(ValueError, match=message):
+            iterate_pushforward(rule, UNIFORM2, 12, "1")
 
     def test_zero_steps(self):
         mu = ProductMeasure.bernoulli(Fraction(1, 7))
@@ -334,6 +350,15 @@ class TestContractionOracle:
                 got = (rep.lhs, rep.rhs, rep.holds, rep.witness_u, rep.witness_w)
                 assert got == reference_contraction(rule, mu, n), (rule, mu, n)
 
+    def test_explicit_twins_match_per_word_reference(self):
+        # the same measures as explicit tables, summed cylinder by cylinder
+        for rule, mu in kernel_cases(104, radii=(0, 1, 2)):
+            twin = explicit_twin(mu, 3 + rule.r)
+            for n in range(1, 4):
+                rep = check_uniform_contraction(rule, twin, n)
+                got = (rep.lhs, rep.rhs, rep.holds, rep.witness_u, rep.witness_w)
+                assert got == reference_contraction(rule, twin, n), (rule, mu, n)
+
     def test_identity_keeps_distance_and_witness(self):
         # the farthest word is the last one, not the first
         mu = make_measure("product:1/5,0,4/5")
@@ -361,6 +386,65 @@ class TestMeasureInvariance:
         mu = ProductMeasure.bernoulli(Fraction(2, 7))
         assert check_measure_invariance(IDENTITY2, mu, 4)
 
+    def test_depth_below_one_refused(self):
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                check_measure_invariance(XOR, UNIFORM2, depth)
+
+    def test_explicit_twins_agree(self):
+        # every word of every length against the per-word pushforward
+        for rule, mu in kernel_cases(105, radii=(0, 1)):
+            twin = explicit_twin(mu, 3 + rule.r)
+            expected = all(
+                enumerated_pushforward(rule, mu, u) == mu.cylinder(u)
+                for u in words_up_to(rule.q, 3)
+            )
+            assert check_measure_invariance(rule, mu, 3) == expected
+            assert check_measure_invariance(rule, twin, 3) == expected
+
+    def test_short_mismatch_before_a_long_refusal(self, monkeypatch):
+        # lengths are checked in turn: length 1 already differs
+        assert not check_measure_invariance(XOR, ProductMeasure.bernoulli(Fraction(1, 4)), 40)
+        monkeypatch.setattr(measures, "MAX_VECTOR_CELLS", 1 << 6)
+        with pytest.raises(ValueError, match=r"q\^7 = 128 exceeds limit 64"):
+            check_measure_invariance(XOR, UNIFORM2, 6)
+        assert check_measure_invariance(XOR, UNIFORM2, 6, limit=1 << 7)
+
+
+class TestVectorBound:
+    RULE = parse_rule("2 2 01101001")
+    MU = ProductMeasure.bernoulli(Fraction(1, 3))
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        # a check that passes goes on to build its vector, and stops here
+        def refuse(mu, n):
+            raise AssertionError(f"built a vector of length {n}")
+
+        monkeypatch.setattr(measures, "_cylinder_vector", refuse)
+
+    def test_default_refuses_before_building(self, unbuilt):
+        assert measures.MAX_VECTOR_CELLS == 1 << 23
+        message = r"preimage enumeration q\^24 = 16777216 exceeds limit 8388608"
+        with pytest.raises(ValueError, match=message):
+            check_uniform_contraction(self.RULE, self.MU, 22)
+        with pytest.raises(ValueError, match=r"q\^n = 16777216 exceeds limit 8388608"):
+            block_entropy(self.MU, 24)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rule, mu: check_uniform_contraction(rule, mu, 21),
+            lambda rule, mu: check_uniform_contraction(rule, mu, 22, limit=1 << 24),
+            lambda rule, mu: block_entropy(mu, 23),
+            lambda rule, mu: block_entropy(mu, 24, limit=1 << 24),
+        ],
+        ids=["contraction-at-limit", "contraction-raised", "entropy-at-limit", "entropy-raised"],
+    )
+    def test_limit_itself_and_a_raised_limit_admit(self, unbuilt, call):
+        with pytest.raises(AssertionError, match="built a vector"):
+            call(self.RULE, self.MU)
+
 
 class TestBlockEntropy:
     def test_long_block_refused_without_the_power(self):
@@ -382,6 +466,14 @@ class TestBlockEntropy:
     def test_dirac_zero(self):
         for n in (1, 2, 5):
             assert block_entropy(DiracMeasure(2, 0), n).value == 0.0
+
+    def test_explicit_twin_is_bit_identical(self):
+        for q in (2, 3):
+            for spec in KERNEL_MEASURES[q]:
+                mu = make_measure(spec, q)
+                twin = explicit_twin(mu, 4)
+                for n in range(1, 5):
+                    assert block_entropy(twin, n) == block_entropy(mu, n), (spec, n)
 
     def test_identity_preserves_block_entropy(self):
         mu = ProductMeasure.bernoulli(Fraction(1, 3))

@@ -265,6 +265,25 @@ class TestCompose:
                     f, g = random_rule(q, rf, rng), random_rule(q, rg, rng)
                     assert compose(f, g) == image_compose(f, g)
 
+    def test_image_index_matches_the_sliding_window(self):
+        # several random tables per call, word by word against rules._image
+        rng = SplitMix64(4343)
+        for q in (2, 3):
+            for r in range(4):
+                for length in range(4):
+                    pool = [random_rule(q, r, rng) for _ in range(3)]
+                    tables = np.array([rule.table for rule in pool], dtype=np.int64)
+                    got = rules._image_index(q, r, tables, length)
+                    assert got.shape == (3, q ** (r + length))
+                    for rule, row in zip(pool, got.tolist()):
+                        for index, syms in enumerate(
+                            itertools.product(range(q), repeat=r + length)
+                        ):
+                            expected = 0
+                            for s in rules._image(rule, syms):
+                                expected = expected * q + s
+                            assert row[index] == expected, (rule, syms)
+
     def test_self_compose_is_repeated_compose(self):
         rng = SplitMix64(77)
         for q, r in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
