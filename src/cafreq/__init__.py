@@ -73,7 +73,6 @@ from .interval_swap import (
 from .block_sampler import (
     BlockMeasureParams,
     BlockSampler,
-    XorPowerSampler,
     estimate_cylinder,
     sample_hierarchical,
     xor_iterate,

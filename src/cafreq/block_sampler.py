@@ -24,8 +24,9 @@ it along the binary expansion of the step count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
@@ -35,10 +36,10 @@ __all__ = [
     "triangular",
     "block_length",
     "default_copy_probs",
+    "check_levels",
     "BlockMeasureParams",
     "HierarchicalSample",
     "BlockSampler",
-    "XorPowerSampler",
     "CylinderEstimate",
     "sample_hierarchical",
     "containment_probability",
@@ -66,6 +67,15 @@ def default_copy_probs(levels: int) -> tuple[Fraction, ...]:
 MAX_LEVELS = 6
 
 
+def check_levels(levels: int) -> None:
+    """Refuse more levels than a sampler builds, before anything is built."""
+    if levels > MAX_LEVELS:
+        raise ValueError(
+            f"{levels} levels exceed {MAX_LEVELS}: a top block of "
+            f"more than 2^{triangular(MAX_LEVELS)} bits"
+        )
+
+
 @dataclass(frozen=True)
 class _Level:
     """How to expand level n-1 blocks into a level n block, in integers."""
@@ -86,18 +96,10 @@ class BlockMeasureParams:
     levels: int
     alpha: Fraction = Fraction(1)
     copy_probs: Optional[tuple[Fraction, ...]] = None
-    # block lengths of levels 0..levels, and _Level plans for 1..levels
-    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _plan: tuple[Optional[_Level], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("need at least one level")
-        if self.levels > MAX_LEVELS:
-            raise ValueError(
-                f"{self.levels} levels exceed {MAX_LEVELS}: a top block of "
-                f"more than 2^{triangular(MAX_LEVELS)} bits"
-            )
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must lie in [0, 1]")
@@ -110,12 +112,20 @@ class BlockMeasureParams:
             if any(p < 0 or p > 1 for p in probs):
                 raise ValueError("copy probabilities must lie in [0, 1]")
             object.__setattr__(self, "copy_probs", probs)
-        lengths = tuple(block_length(n) for n in range(self.levels + 1))
-        object.__setattr__(self, "lengths", lengths)
+
+    @property
+    def window_capacity(self) -> int:
+        return block_length(self.levels)
+
+    # _Level plans for levels 1..levels, built on first use: the value admits
+    # any level count, the plan (a sampler's) at most MAX_LEVELS
+    @cached_property
+    def _plan(self) -> tuple[Optional[_Level], ...]:
+        check_levels(self.levels)
         alpha = Coin(self.alpha)
         plan: list[Optional[_Level]] = [None]
         for n in range(1, self.levels + 1):
-            child_len, children = lengths[n - 1], 1 << n
+            child_len, children = block_length(n - 1), 1 << n
             # child j (0 = leftmost) sits at bit k * child_len, k = children-1-j
             units = [1 << (k * child_len) for k in range(children)]
             plan.append(
@@ -129,11 +139,7 @@ class BlockMeasureParams:
                     alpha=alpha,
                 )
             )
-        object.__setattr__(self, "_plan", tuple(plan))
-
-    @property
-    def window_capacity(self) -> int:
-        return self.lengths[-1]
+        return tuple(plan)
 
 
 def _generate_block(plan: tuple, level: int, take: Callable[[], int]) -> int:
@@ -193,23 +199,21 @@ def sample_hierarchical(
     would make it straddle a block boundary are rejected and redrawn.  The
     per-level offsets are the top offset reduced modulo each block length.
     """
+    plan = params._plan
     cap = params.window_capacity
     if not 1 <= length <= cap:
         raise ValueError(
             f"window length {length} not in [1, {cap}] for {params.levels} levels"
         )
-    rejections = 0
-    while True:
-        offset = rng.below(cap)
-        if offset + length <= cap:
-            break
-        rejections += 1
+    offset, rejections = rng.below(cap), 0
+    while offset + length > cap:
+        offset, rejections = rng.below(cap), rejections + 1
     source = ChunkedDraws(rng)
-    block = _generate_block(params._plan, params.levels, source.take)
+    block = _generate_block(plan, params.levels, source.take)
     source.close()
     shift = cap - offset - length
     bits = (block >> shift) & ((1 << length) - 1)
-    offsets = tuple(offset % n for n in params.lengths)
+    offsets = tuple(offset % block_length(n) for n in range(params.levels + 1))
     return HierarchicalSample(bits=bits, length=length, offsets=offsets, rejections=rejections)
 
 
@@ -271,35 +275,27 @@ def xor_iterate(window: Union[str, int], t: int, length: Optional[int] = None) -
 
 @dataclass(frozen=True)
 class BlockSampler:
-    """Draws windows of the hierarchical block measure."""
+    """Windows of the block measure after `steps` two-neighbor XOR steps."""
 
     params: BlockMeasureParams
+    steps: int = 0
+
+    def __post_init__(self):
+        self.params._plan  # refuses too many levels before any draw or worker
 
     @property
     def capacity(self) -> int:
-        return self.params.window_capacity
+        return self.params.window_capacity - self.steps
+
+    def check_fits(self, word: str) -> None:
+        if len(word) > self.capacity:
+            raise ValueError(
+                f"word of length {len(word)} exceeds sampler capacity {self.capacity}"
+            )
 
     def draw(self, length: int, rng: SplitMix64) -> str:
-        return sample_hierarchical(self.params, length, rng).window
-
-
-@dataclass(frozen=True)
-class XorPowerSampler:
-    """A sampler composed with t steps of the two-neighbor XOR rule."""
-
-    base: BlockSampler
-    steps: int
-
-    @property
-    def capacity(self) -> int:
-        return self.base.capacity - self.steps
-
-    def draw(self, length: int, rng: SplitMix64) -> str:
-        raw = sample_hierarchical(self.base.params, length + self.steps, rng)
+        raw = sample_hierarchical(self.params, length + self.steps, rng)
         return xor_iterate(raw.bits, self.steps, raw.length)
-
-
-Sampler = Union[BlockSampler, XorPowerSampler]
 
 
 @dataclass(frozen=True)
@@ -312,7 +308,7 @@ class CylinderEstimate:
     seed: int
 
 
-def _count_hits(sampler: Sampler, word: str, seed: int, lo: int, hi: int) -> int:
+def _count_hits(sampler: BlockSampler, word: str, seed: int, lo: int, hi: int) -> int:
     n = len(word)
     hits = 0
     for i in range(lo, hi):
@@ -323,7 +319,7 @@ def _count_hits(sampler: Sampler, word: str, seed: int, lo: int, hi: int) -> int
 
 
 def estimate_cylinder(
-    sampler: Sampler, word: str, samples: int, seed: int, jobs: int = 1
+    sampler: BlockSampler, word: str, samples: int, seed: int, jobs: int = 1
 ) -> CylinderEstimate:
     """Monte Carlo frequency of the word at the windows' base position.
 
@@ -332,10 +328,7 @@ def estimate_cylinder(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if len(word) > sampler.capacity:
-        raise ValueError(
-            f"word of length {len(word)} exceeds sampler capacity {sampler.capacity}"
-        )
+    sampler.check_fits(word)
     hits = sum(map_ranges(_count_hits, samples, jobs, sampler, word, seed))
     est = hits / samples
     return CylinderEstimate(

@@ -271,7 +271,7 @@ def _cmd_measure_pushforward(args) -> int:
         _refuse_below("--t-max", args.t_max, 0)
     t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
     # the largest step count has the largest table and the most preimages
-    measures.check_iterate_pushforward(rule, max(t_values), args.word, args.limit)
+    measures.check_iterate_pushforward(rule, mu, max(t_values), args.word, args.limit)
     rows = []
     for t in t_values:
         value = measures.iterate_pushforward(rule, mu, t, args.word, limit=args.limit)
@@ -360,8 +360,8 @@ def _cmd_fn_apply(args) -> int:
 def _cmd_xor_limit(args) -> int:
     if not args.word or args.word.strip("01"):
         raise ValueError(f"--word must be a nonempty binary word, got {args.word!r}")
+    block_sampler.check_levels(args.levels)  # before anything sized by the levels
     params = block_sampler.BlockMeasureParams(levels=args.levels, alpha=args.alpha)
-    sampler = block_sampler.BlockSampler(params)
     if args.n_values:
         n_values = [int(x) for x in args.n_values.split(",")]
     else:
@@ -372,12 +372,16 @@ def _cmd_xor_limit(args) -> int:
                 f"--n-values entry {n} is outside 0..{args.levels - 1} "
                 f"for --levels {args.levels}"
             )
+    samplers = [
+        block_sampler.BlockSampler(params, 1 << block_sampler.triangular(n))
+        for n in n_values
+    ]
+    for sampler in samplers:  # before the first estimate is printed
+        sampler.check_fits(args.word)
     rows = []
-    for n in n_values:
-        steps = 1 << block_sampler.triangular(n)
-        transformed = block_sampler.XorPowerSampler(sampler, steps)
+    for n, sampler in zip(n_values, samplers):
         est = block_sampler.estimate_cylinder(
-            transformed,
+            sampler,
             args.word,
             args.samples,
             derive_seed(args.seed, n),
@@ -386,7 +390,7 @@ def _cmd_xor_limit(args) -> int:
         rows.append(
             (
                 n,
-                steps,
+                sampler.steps,
                 _fmt_frac(args.alpha),
                 est.samples,
                 repr(est.estimate),
@@ -395,7 +399,7 @@ def _cmd_xor_limit(args) -> int:
             )
         )
         print(
-            f"n={n} (t={steps}): P([{args.word}]) ~ {est.estimate:.4f} "
+            f"n={n} (t={sampler.steps}): P([{args.word}]) ~ {est.estimate:.4f} "
             f"+- {est.std_error:.4f} ({est.hits}/{est.samples})"
         )
     _write_csv(

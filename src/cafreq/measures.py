@@ -293,23 +293,25 @@ def iterate_pushforward(
     limit: int = DEFAULT_PUSHFORWARD_LIMIT,
 ) -> Fraction:
     """Cylinder value after t rule steps, via the t-fold composed rule."""
-    check_iterate_pushforward(rule, t, word, limit)
+    check_iterate_pushforward(rule, mu, t, word, limit)
     if t == 0:
         return mu.cylinder(word)
     return pushforward(self_compose(rule, t), mu, word, limit)
 
 
 def check_iterate_pushforward(
-    rule: LocalRule, t: int, word: str, limit: int = DEFAULT_PUSHFORWARD_LIMIT
+    rule: LocalRule, mu: CylinderMeasure, t: int, word: str, limit: int = DEFAULT_PUSHFORWARD_LIMIT
 ) -> None:
-    """Refuse, before any table is composed, what t steps would refuse."""
+    """Refuse, before any table is composed, what t steps (t = 0 too) would refuse."""
     if t < 0:
         raise ValueError("step count must be >= 0")
+    if not word:
+        raise ValueError("pushforward needs a nonempty word")
+    _check_alphabets(rule, mu)
+    word_symbols(word, rule.q)
     if t:
         check_size(limit, _PREIMAGES, rule.q, len(word) + t * rule.r)
         check_composed_size(rule.q, rule.r, t)
-        if not word:
-            raise ValueError("pushforward needs a nonempty word")
 
 
 def pushforward_mass_from_histogram(rule: LocalRule, A: SymbolsLike, p) -> Fraction:

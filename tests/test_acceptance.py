@@ -35,7 +35,6 @@ from cafreq import (
 from cafreq.block_sampler import (
     BlockMeasureParams,
     BlockSampler,
-    XorPowerSampler,
     estimate_cylinder,
     sample_hierarchical,
     triangular,
@@ -270,7 +269,7 @@ def test_acceptance_10_hierarchical_limit_toward_zero():
     for n in (1, 2, 3):
         steps = 1 << triangular(n)
         est = estimate_cylinder(
-            XorPowerSampler(sampler, steps), "1", 10_000, derive_seed(seed, n)
+            BlockSampler(params, steps), "1", 10_000, derive_seed(seed, n)
         )
         estimates.append(est)
     for a, b in zip(estimates, estimates[1:]):
@@ -292,7 +291,7 @@ def test_acceptance_11_alternation_mix_limit():
         row = []
         for j, alpha in enumerate((Fraction(0), Fraction(1, 2), Fraction(1))):
             params = BlockMeasureParams(levels=4, alpha=alpha)
-            sampler = XorPowerSampler(BlockSampler(params), steps)
+            sampler = BlockSampler(params, steps)
             est = estimate_cylinder(
                 sampler, word, 10_000, derive_seed(seed, len(word), j)
             )

@@ -8,7 +8,6 @@ from cafreq import block_sampler
 from cafreq.block_sampler import (
     BlockMeasureParams,
     BlockSampler,
-    XorPowerSampler,
     block_length,
     containment_probability,
     default_copy_probs,
@@ -117,9 +116,27 @@ class TestGeometry:
 
     def test_levels_guard(self):
         # every sample builds a whole top block: 2^21 bits at 6 levels, 2^28 at 7
-        assert BlockMeasureParams(levels=6).window_capacity == 1 << 21
+        assert BlockSampler(BlockMeasureParams(levels=6)).capacity == 1 << 21
+        with pytest.raises(ValueError, match="7 levels exceed 6"):
+            BlockSampler(BlockMeasureParams(levels=7))
         with pytest.raises(ValueError, match="levels"):
-            BlockMeasureParams(levels=7)
+            sample_hierarchical(BlockMeasureParams(levels=7), 1, SplitMix64(0))
+
+    @pytest.mark.parametrize("levels", [7, 12])
+    def test_params_past_six_levels_build_no_plan(self, levels):
+        params, cap = BlockMeasureParams(levels=levels), 1 << triangular(levels)
+        assert params.window_capacity == cap
+        assert containment_probability(params, 8) == Fraction(cap - 7, cap)
+        assert len(params.copy_probs) == levels
+        assert "_plan" not in vars(params)
+
+    def test_plan_is_built_once_on_first_use(self):
+        params = BlockMeasureParams(levels=3)
+        assert "_plan" not in vars(params)
+        sampler = BlockSampler(params)
+        assert vars(params)["_plan"] is params._plan
+        assert params == BlockMeasureParams(levels=3)
+        assert sampler.draw(4, SplitMix64(1)) == sample_hierarchical(params, 4, SplitMix64(1)).window
 
     def test_containment_probability(self):
         params = BlockMeasureParams(levels=2)
@@ -241,10 +258,19 @@ class TestSampling:
         assert a == b
         assert a.window == format(a.bits, "020b")
 
+    def test_zero_step_sampler_draws_the_hierarchical_window(self):
+        params = BlockMeasureParams(levels=4, alpha=Fraction(1, 3))
+        sampler = BlockSampler(params, 0)
+        assert sampler == BlockSampler(params) and sampler.capacity == params.window_capacity
+        for length in (1, 7, 64, 1024):
+            a, b = SplitMix64.for_index(9, length), SplitMix64.for_index(9, length)
+            assert sampler.draw(length, a) == sample_hierarchical(params, length, b).window
+            assert a.state == b.state
+
     def test_xor_sampler_is_xor_of_the_drawn_word(self):
         params = BlockMeasureParams(levels=4, alpha=Fraction(1, 2))
         for steps in (0, 1, 5, 12):
-            sampler = XorPowerSampler(BlockSampler(params), steps)
+            sampler = BlockSampler(params, steps)
             for i in range(10):
                 a, b = SplitMix64.for_index(6, i), SplitMix64.for_index(6, i)
                 assert sampler.draw(30, a) == xor_iterate(BlockSampler(params).draw(30 + steps, b), steps)
@@ -259,7 +285,7 @@ class TestEstimation:
 
     def test_degenerate_after_xor_is_zero(self):
         params = BlockMeasureParams(levels=3, alpha=Fraction(1), copy_probs=(Fraction(1),) * 3)
-        sampler = XorPowerSampler(BlockSampler(params), 2)
+        sampler = BlockSampler(params, 2)
         est = estimate_cylinder(sampler, "1", 500, seed=8)
         assert est.hits == 0 and est.estimate == 0.0
 
@@ -275,7 +301,10 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_cylinder(BlockSampler(params), "0" * 9, 10, seed=0)
         with pytest.raises(ValueError):
-            estimate_cylinder(XorPowerSampler(BlockSampler(params), 4), "0" * 5, 10, seed=0)
+            estimate_cylinder(BlockSampler(params, 4), "0" * 5, 10, seed=0)
+        with pytest.raises(ValueError, match="word of length 5 exceeds sampler capacity 4"):
+            BlockSampler(params, 4).check_fits("0" * 5)
+        BlockSampler(params, 4).check_fits("0" * 4)
 
     def test_negation_symmetry_extremes(self):
         # the window distribution is invariant under cellwise negation

@@ -546,8 +546,10 @@ class TestConstructionCommands:
             "q^max_period = 2^40",
         ),
         (["xor-limit", "--levels", "7", "--samples", "2", "--n-values", "1"], "7 levels"),
+        (["xor-limit", "--levels", "2", "--samples", "2", "--word", "0000000",
+          "--n-values", "0,1"], "word of length 7 exceeds sampler capacity 6"),
     ],
-    ids=["correlate", "conservation", "xor-limit"],
+    ids=["correlate", "conservation", "xor-limit", "xor-limit-capacity"],
 )
 def test_unbounded_scan_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"
@@ -730,8 +732,17 @@ def test_bad_measure_descriptor_is_usage_error(descriptor, command, capsys, tmp_
         (["--word", "", "--t-max", "2"], "pushforward needs a nonempty word"),
         (["--word", "01", "--t-max", "3", "--limit", "8"],
          "preimage enumeration q^5 = 32 exceeds limit 8"),
+        # a later --measure replaces the base's uniform measure
+        (["--measure", "product:1/3,1/3,1/3", "--word", "2", "--t-max", "1"],
+         "measure and rule alphabets differ"),
+        (["--measure", "product:1/3,1/3,1/3", "--word", "2", "--t", "0"],
+         "measure and rule alphabets differ"),
+        (["--measure", "bernoulli:1/3", "--word", "", "--t", "0"],
+         "pushforward needs a nonempty word"),
+        (["--word", "012", "--t", "0"], "symbol '2' out of range for alphabet size 2"),
     ],
-    ids=["empty-word", "preimages"],
+    ids=["empty-word", "preimages", "alphabets-t-max", "alphabets-t0", "empty-word-t0",
+         "symbol-t0"],
 )
 def test_pushforward_trajectory_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"

@@ -227,16 +227,32 @@ class TestIteratePushforward:
     def test_precheck_refuses_the_composed_table(self):
         # radius 24 with one letter: 2^25 preimages pass, the 2^25-cell table does not
         rule = parse_rule("2 2 01101001")
-        measures.check_iterate_pushforward(rule, 11, "1")
+        measures.check_iterate_pushforward(rule, UNIFORM2, 11, "1")
         message = r"composed rule table of 2\^25 cells exceeds limit 8388608"
         with pytest.raises(ValueError, match=message):
-            measures.check_iterate_pushforward(rule, 12, "1")
+            measures.check_iterate_pushforward(rule, UNIFORM2, 12, "1")
         with pytest.raises(ValueError, match=message):
             iterate_pushforward(rule, UNIFORM2, 12, "1")
 
     def test_zero_steps(self):
         mu = ProductMeasure.bernoulli(Fraction(1, 7))
         assert iterate_pushforward(XOR, mu, 0, "01") == mu.cylinder("01")
+
+    @pytest.mark.parametrize("t", [0, 1])
+    @pytest.mark.parametrize(
+        "mu, word, message",
+        [
+            (UNIFORM2, "", "pushforward needs a nonempty word"),
+            (UNIFORM2, "012", "symbol '2' out of range for alphabet size 2"),
+            (ProductMeasure.uniform(3), "1", "measure and rule alphabets differ"),
+        ],
+        ids=["empty", "symbol", "alphabets"],
+    )
+    def test_word_and_alphabets_refused_at_every_step_count(self, t, mu, word, message):
+        with pytest.raises(ValueError, match=message):
+            measures.check_iterate_pushforward(XOR, mu, t, word)
+        with pytest.raises(ValueError, match=message):
+            iterate_pushforward(XOR, mu, t, word)
 
     def test_consistency_both_sides(self):
         # sum over one-symbol extensions on either side returns the value
