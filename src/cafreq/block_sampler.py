@@ -281,6 +281,8 @@ class BlockSampler:
     steps: int = 0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"XOR step count must be >= 0, got {self.steps}")
         self.params._plan  # refuses too many levels before any draw or worker
 
     @property

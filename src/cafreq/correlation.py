@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -48,6 +48,11 @@ MAX_SCAN_WORDS = 1 << 24
 
 #: scans over every proper symbol set (2^q - 2 of them) refuse larger q
 MAX_SUBSET_ALPHABET = 16
+
+
+#: histograms of rules with at most this many neighborhoods read their
+#: A-counts from a cache of 64 entries (at most 2 MB); larger ones count afresh
+CACHED_NEIGHBORHOODS = 1 << 12
 
 
 def proper_subsets(q: int) -> list[frozenset[int]]:
@@ -138,7 +143,9 @@ def histogram(
 ) -> Histogram:
     """Histogram at radius r_eff >= rule.r.
 
-    The rule's own q^(r+1) neighborhoods are counted.  Each of the
+    The rule's own q^(r+1) neighborhoods are counted; the A-count of each
+    is read from `_a_counts`, cached on (q, r, A) up to CACHED_NEIGHBORHOODS
+    neighborhoods, as a sweep asks for the same few sets.  Each of the
     r_eff - r extra cells is ignored by f, so it multiplies the polynomial
     sum_k N_k x^k by (q - |A|) + |A| x.  Every count is at most
     q^(r_eff+1), which is refused above MAX_SCAN_WORDS.
@@ -151,15 +158,22 @@ def histogram(
     check_size(MAX_SCAN_WORDS, "q^(r_eff+1) = {q}^{e}", q, r_eff + 1)
     Aset = normalize_symbols(A, q)
     Bset = normalize_symbols(B, q)
-    in_a = [s in Aset for s in range(q)]
+    a_counts = _a_counts if q ** (r + 1) <= CACHED_NEIGHBORHOODS else _a_counts.__wrapped__
     counts = [0] * (r + 2)
-    for k, image in zip(map(sum, itertools.product(in_a, repeat=r + 1)), rule.table):
+    for k, image in zip(a_counts(q, r, Aset), rule.table):
         if image in Bset:
             counts[k] += 1
     a = len(Aset)
     for _ in range(r_eff - r):
         counts = [(q - a) * n + a * m for n, m in zip(counts + [0], [0] + counts)]
     return Histogram(q, r_eff, Aset, Bset, tuple(counts))
+
+
+@lru_cache(maxsize=64)
+def _a_counts(q: int, r: int, A: frozenset[int]) -> tuple[int, ...]:
+    """The number of A-symbols in each neighborhood of r + 1 cells, in table order."""
+    in_a = [s in A for s in range(q)]
+    return tuple(map(sum, itertools.product(in_a, repeat=r + 1)))
 
 
 def correlation(

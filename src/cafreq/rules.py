@@ -30,8 +30,9 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 26
 #: refuse rule spaces of this many tables or more: indices are decoded in int64
 MAX_RULE_TABLES = 1 << 63
 
-#: the surjective-rule enumeration decodes table indices in chunks whose
-#: largest array holds about this many entries
+#: the surjective-rule enumeration streams blocks of table indices; every
+#: array it builds (tail digits, decoded tables, word images) holds at most
+#: about this many entries
 PREFILTER_CELLS = 1 << 16
 
 #: the surjectivity search keeps one byte per pair of de Bruijn words
@@ -264,27 +265,30 @@ def is_surjective(rule: LocalRule) -> bool:
     right-permutive rule is surjective (Hedlund 1969); that covers 496 of
     the 582 binary radius-3 surjective rules and all 420 ternary radius-1
     ones.  Every other rule is decided on the pair graph, see
-    `_pair_graph_surjective`.  (An enumerated rule space is filtered on
-    balance at lengths 1 to 3 before it gets here, see `_balanced_tables`.)
+    `_pair_graph_surjective`.  An enumerated rule space takes the same steps
+    on whole blocks of tables, with balance at lengths 2 to 5 as well, see
+    `_surjective_in_range`.
     """
     check_size(MAX_PAIR_VERTICES, "q^(2r) = {size} pair-graph vertices", rule.q, 2 * rule.r)
     if not is_balanced(rule):
         return False
-    return _permutive(rule) or _pair_graph_surjective(rule)
+    return bool(_permutive_rows(rule.q, np.array([rule.table]))[0]) or _pair_graph_surjective(rule)
 
 
-def _permutive(rule: LocalRule) -> bool:
-    """True iff the output is a permutation of the rightmost or of the leftmost cell.
+def _permutive_rows(q: int, tables: np.ndarray) -> np.ndarray:
+    """Which rows of `tables` permute the rightmost or the leftmost cell.
 
     With the leftmost cell most significant, the neighborhoods that share
     their first r cells are q consecutive table entries, and those that
-    share their last r cells are the entries q^r apart.
+    share their last r cells are the entries q^r apart.  Such a group is a
+    permutation iff the OR of its symbols' bits 1 << s sets all q bits.
     """
-    q, table = rule.q, rule.table
-    qr = len(table) // q
-    return all(len(set(table[i : i + q])) == q for i in range(0, len(table), q)) or all(
-        len(set(table[u::qr])) == q for u in range(qr)
-    )
+    rows, qr = len(tables), tables.shape[1] // q
+    bits = np.left_shift(1, tables)
+    full = (1 << q) - 1
+    right = np.bitwise_or.reduce(bits.reshape(rows, qr, q), axis=2) == full
+    left = np.bitwise_or.reduce(bits.reshape(rows, q, qr), axis=1) == full
+    return right.all(axis=1) | left.all(axis=1)
 
 
 def _pair_graph_surjective(rule: LocalRule) -> bool:
@@ -422,30 +426,62 @@ def _words_balanced(q: int, r: int, tables: np.ndarray, length: int) -> np.ndarr
     """Which rows of `tables` give every word of `length` cells q^r preimages.
 
     Each row is one rule table; one bincount, offset per row, counts images.
+    Rows go in slices of at most max(1, PREFILTER_CELLS // q^(r+length)), so
+    that an image array holds at most about PREFILTER_CELLS entries.
     """
-    rows = len(tables)
     words = q**length
-    image = _image_index(q, r, tables, length)
-    image += np.arange(rows, dtype=np.int64)[:, None] * words
-    counts = np.bincount(image.ravel(), minlength=rows * words)
-    return (counts.reshape(rows, words) == q**r).all(axis=1)
+    step = max(1, PREFILTER_CELLS // q ** (r + length))
+    out = []
+    for part in np.split(tables, range(step, len(tables), step)):
+        rows = len(part)
+        image = _image_index(q, r, part, length)
+        image += np.arange(rows, dtype=np.int64)[:, None] * words
+        counts = np.bincount(image.ravel(), minlength=rows * words)
+        out.append((counts.reshape(rows, words) == q**r).all(axis=1))
+    return np.concatenate(out)
 
 
-def _balanced_tables(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+def _block_digits(q: int, r: int) -> int:
+    """The number k of last table entries that vary within a block of q^k indices.
+
+    The largest k, at least 1, such that q^k tables of q^(r+1) cells fit in
+    PREFILTER_CELLS: at q=2 r=3 a block holds 4,096 tables, at q=3 r=1 6,561.
+    """
+    cells = q ** (r + 1)
+    k = 1
+    while k < cells and q ** (k + 1) * cells <= PREFILTER_CELLS:
+        k += 1
+    return k
+
+
+def _balanced_blocks(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The tables among indices lo..hi-1 balanced on words of lengths 1, 2 and 3.
 
-    Yields one array of table rows, in index order, per chunk of
-    max(1, PREFILTER_CELLS // q^(r+3)) indices, so that a chunk's largest
-    array holds at most about PREFILTER_CELLS entries.  Each length filters
-    the rows the shorter ones kept: at q=2 r=3, 12,870 of the 65,536 tables
-    are balanced at length 1, and 974 at lengths 1 to 3.
+    Yields one array of table rows, in index order, per block of q^k
+    consecutive indices (k from `_block_digits`) that meets lo..hi-1.  A
+    block's tables share their first q^(r+1) - k entries, so balance at
+    length 1 needs its last k entries to hold q^r of each symbol minus the
+    shared entries' counts.  These are read from the precomputed symbol
+    counts of every k-digit tail, and only the tables that pass are
+    decoded.  Balance at lengths 2 and 3 then filters the decoded rows.  At
+    q=2 r=3, 12,870 of the 65,536 tables are balanced at length 1, and 974
+    at lengths 1 to 3.
     """
-    place = q ** np.arange(q ** (r + 1) - 1, -1, -1, dtype=np.int64)
-    step = max(1, PREFILTER_CELLS // q ** (r + 3))
-    for start in range(lo, hi, step):
-        index = np.arange(start, min(start + step, hi), dtype=np.int64)
-        tables = index[:, None] // place % q
-        for length in (1, 2, 3):
+    cells, k = q ** (r + 1), _block_digits(q, r)
+    size = q**k
+    tails = np.indices((q,) * k).reshape(k, size).T  # every k-digit tail, in order
+    tail_counts = np.stack([(tails == s).sum(axis=1) for s in range(q)], axis=1)
+    for block in range(lo // size, -(-hi // size)):
+        head = [block // q ** (cells - k - 1 - i) % q for i in range(cells - k)]
+        need = [q**r - head.count(s) for s in range(q)]
+        if min(need) < 0:
+            continue
+        first, last = max(lo - block * size, 0), min(hi - block * size, size)
+        rows = first + np.flatnonzero((tail_counts[first:last] == need).all(axis=1))
+        tables = np.empty((len(rows), cells), dtype=np.int64)
+        tables[:, : cells - k] = head
+        tables[:, cells - k :] = tails[rows]
+        for length in (2, 3):
             tables = tables[_words_balanced(q, r, tables, length)]
         yield tables
 
@@ -453,18 +489,24 @@ def _balanced_tables(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
 def _surjective_in_range(q: int, r: int, limit: int, lo: int, hi: int) -> list:
     """The surjective rules among table indices lo..hi-1, in table order.
 
-    Surjectivity forces balance at every word length (Hedlund 1969), so
-    only the tables balanced on words of lengths 1 to 3 are built and
-    decided by `is_surjective`: 974 of the 65,536 binary radius-3 tables,
-    of which 496 exit as permutive and 478 go to the pair graph.
+    Surjectivity forces balance at every word length (Hedlund 1969).  Each
+    block of `_balanced_blocks` (balanced at lengths 1 to 3) keeps its left-
+    and right-permutive tables; the others must also be balanced at lengths
+    4 and 5, and the pair graph decides what is left.  At q=2 r=3 that is
+    974 tables, 496 permutive, and 86 pair-graph calls, all surjective; at
+    q=3 r=1 every one of the 420 balanced tables is permutive.
     """
     check_rule_space(q, r, limit)
-    rules = (
-        LocalRule(q, r, tuple(table))
-        for chunk in _balanced_tables(q, r, lo, hi)
-        for table in chunk.tolist()
-    )
-    return [rule for rule in rules if is_surjective(rule)]
+    found = []
+    for tables in _balanced_blocks(q, r, lo, hi):
+        keep = _permutive_rows(q, tables)
+        (rest,) = np.nonzero(~keep)
+        for length in (4, 5):
+            rest = rest[_words_balanced(q, r, tables[rest], length)]
+        candidates = [LocalRule(q, r, tuple(table)) for table in tables[rest].tolist()]
+        keep[rest] = [_pair_graph_surjective(rule) for rule in candidates]
+        found += [LocalRule(q, r, tuple(table)) for table in tables[keep].tolist()]
+    return found
 
 
 _SURJECTIVE_RULES: dict[tuple[int, int], tuple[LocalRule, ...]] = {}

@@ -305,6 +305,8 @@ class TestEstimation:
         with pytest.raises(ValueError, match="word of length 5 exceeds sampler capacity 4"):
             BlockSampler(params, 4).check_fits("0" * 5)
         BlockSampler(params, 4).check_fits("0" * 4)
+        with pytest.raises(ValueError, match="XOR step count must be >= 0, got -1"):
+            estimate_cylinder(BlockSampler(params, -1), "0", 2, seed=0)
 
     def test_negation_symmetry_extremes(self):
         # the window distribution is invariant under cellwise negation

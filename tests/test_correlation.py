@@ -219,6 +219,16 @@ class TestHistogram:
                     h = histogram(LocalRule.identity(q), A, A, r_eff=r)
                     assert h.counts == scan_histogram(LocalRule.identity(q), A, A, r)
 
+    def test_large_tables_bypass_the_count_cache(self):
+        # XOR^16 has 2^17 neighborhoods, output x_0 + x_16: N_k = 2 comb(15, k - 1)
+        cache = correlation_module._a_counts
+        cache.cache_clear()
+        h = histogram(self_compose(XOR, 16), [1], [1])
+        assert h.counts == (0, *(2 * comb(15, k - 1) for k in range(1, 18)))
+        assert cache.cache_info().currsize == 0
+        histogram(XOR, [1], [1])
+        assert cache.cache_info().currsize == 1
+
     def test_surjective_total_is_balanced(self):
         for r in (0, 1, 2):
             for rule in surjective_rules(2, r):

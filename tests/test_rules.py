@@ -396,8 +396,10 @@ class TestSurjectivity:
         # 950 permutive tables in all; the pair graph alone finds each surjective
         tables = permutive_tables(q, r)
         assert len(tables) == count
-        for rule in enumerate_rules(q, r):
-            assert rules._permutive(rule) == (rule.table in tables), rule.format()
+        every = list(enumerate_rules(q, r))
+        flags = rules._permutive_rows(q, np.array([rule.table for rule in every]))
+        for rule, flag in zip(every, flags.tolist()):
+            assert flag == (rule.table in tables), rule.format()
         for table in tables:
             assert rules._pair_graph_surjective(LocalRule(q, r, table))
 
@@ -443,7 +445,8 @@ class TestSurjectivity:
 
     def test_composites_beyond_the_subset_construction(self):
         a, b, c = SURJ_R3
-        assert not any(rules._permutive(rule) for rule in (a, b, c, NONSURJ_R3))
+        tables = np.array([rule.table for rule in (a, b, c, NONSURJ_R3)])
+        assert not rules._permutive_rows(2, tables).any()
         assert is_surjective(compose(a, b))  # r = 6
         assert is_surjective(compose(compose(a, b), c))  # r = 9
         assert not is_surjective(NONSURJ_R3)
@@ -484,11 +487,13 @@ class TestEnumeration:
         assert len(surjective_rules(2, 1)) == 6
 
     def test_surjective_rules_jobs_invariant(self, monkeypatch):
-        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
-        one = surjective_rules(2, 2, jobs=1)
-        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
-        assert surjective_rules(2, 2, jobs=2) == one
-        assert one == tuple(r for r in enumerate_rules(2, 2) if is_surjective(r))
+        # two workers cut 19,683 ternary indices at 9,841, inside a block
+        for q, r in ((2, 2), (3, 1)):
+            monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+            one = surjective_rules(q, r, jobs=1)
+            monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+            assert surjective_rules(q, r, jobs=2) == one
+            assert one == tuple(x for x in enumerate_rules(q, r) if is_surjective(x))
 
     def test_surjective_rules_cached_across_limit_and_jobs(self, monkeypatch):
         monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
@@ -515,8 +520,8 @@ class TestEnumeration:
         # oracle: preimage counts of every word of length 2 and 3
         kept = {
             tuple(table)
-            for chunk in rules._balanced_tables(q, r, 0, rule_count(q, r))
-            for table in chunk.tolist()
+            for block in rules._balanced_blocks(q, r, 0, rule_count(q, r))
+            for table in block.tolist()
         }
         expected = {
             rule.table
@@ -534,12 +539,37 @@ class TestEnumeration:
         monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
         expected = tuple(rule for rule in enumerate_rules(q, r) if is_surjective(rule))
         assert surjective_rules(q, r) == expected
+        # blocks of q or q^2 indices, and word images one table at a time
+        monkeypatch.setattr(rules, "PREFILTER_CELLS", 1 << 6)
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        assert surjective_rules(q, r) == expected
 
-    @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1000, 40001)), (3, 1, (500, 9999))])
+    @pytest.mark.parametrize("q, r, calls", [(2, 3, 86), (3, 1, 0)])
+    def test_pair_graph_decides_only_what_balance_and_permutivity_leave(
+        self, q, r, calls, monkeypatch
+    ):
+        # balance at lengths 1 to 5 and the permutive exit leave 86 binary
+        # radius-3 tables, all surjective, and no ternary radius-1 table
+        seen = []
+
+        def counting(rule):
+            seen.append(rule)
+            return pair_graph(rule)
+
+        pair_graph = rules._pair_graph_surjective
+        monkeypatch.setattr(rules, "_pair_graph_surjective", counting)
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        found = surjective_rules(q, r)
+        assert len(seen) == calls
+        assert set(seen) <= set(found)
+
+    @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1 / 4, 1 / 2, 5 / 2)), (3, 1, (1 / 3, 3 / 2))])
     def test_uneven_ranges_concatenate_to_the_whole(self, q, r, cuts):
-        # each cut falls strictly inside a prefilter chunk of the whole range
+        # cuts in blocks of the whole range: each falls strictly inside a
+        # block, and at q=2 r=3 two of them cut one block into three ranges
         count = rule_count(q, r)
-        step = max(1, rules.PREFILTER_CELLS // q ** (r + 3))
+        step = q ** rules._block_digits(q, r)
+        cuts = [int(cut * step) for cut in cuts]
         assert step < count and all(0 < cut % step for cut in cuts)
         bounds = (0, *cuts, count)
         parts = [
