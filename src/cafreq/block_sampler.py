@@ -290,6 +290,9 @@ class BlockSampler:
         return self.params.window_capacity - self.steps
 
     def check_fits(self, word: str) -> None:
+        """Refuse a word no window can hold: empty, not binary, or too long."""
+        if not word or word.strip("01"):
+            raise ValueError(f"word must be a nonempty binary word, got {word!r}")
         if len(word) > self.capacity:
             raise ValueError(
                 f"word of length {len(word)} exceeds sampler capacity {self.capacity}"

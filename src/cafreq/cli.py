@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 from collections import Counter
@@ -83,18 +84,17 @@ def _set_label(symbols: frozenset[int]) -> str:
 
 def _cmd_rule_info(args) -> int:
     rule = rules.parse_rule(args.rule)
-    subsets = correlation.proper_subsets(rule.q)  # refuses large q before output
-    print(f"rule: {rule.format()}")
-    print(f"alphabet size: {rule.q}  radius: {rule.r}")
-    print(f"balanced: {rules.is_balanced(rule)}")
-    print(f"surjective: {rules.is_surjective(rule)}")
+    subsets = correlation.proper_subsets(rule.q)  # refuses large q first
+    lines = [f"rule: {rule.format()}", f"alphabet size: {rule.q}  radius: {rule.r}"]
+    lines += [f"balanced: {rules.is_balanced(rule)}", f"surjective: {rules.is_surjective(rule)}"]
     for A in subsets:
         h = correlation.histogram(rule, A, A)
         ident = correlation.identity_correlation(rule.q, len(A), rule.r)
-        print(
+        lines.append(
             f"A=B={{{_set_label(A)}}}: histogram={h.counts} C={h.moment(1)} "
             f"normalized={h.normalized(1)} identity={ident}"
         )
+    print("\n".join(lines))  # every line built, and every refusal made, first
     return 0
 
 
@@ -105,9 +105,9 @@ def _cmd_rule_surjective(args) -> int:
     if not descriptors:
         print("no rules given", file=sys.stderr)
         return 2
-    for text in descriptors:
-        rule = rules.parse_rule(text)
-        print(f"{rule.format()}\t{rules.is_surjective(rule)}")
+    parsed = [rules.parse_rule(text) for text in descriptors]
+    # every rule is decided, or refused, before the first line is printed
+    print("\n".join([f"{rule.format()}\t{rules.is_surjective(rule)}" for rule in parsed]))
     return 0
 
 
@@ -122,7 +122,11 @@ def _cmd_correlate(args) -> int:
     labels = (rule.format(), h.r, _set_label(A), _set_label(B))
     for m, norm in enumerate(h.normalized_orders(args.m)):
         raw = h.moment(m)
-        rows.append((*labels, m, raw, _fmt_frac(norm), float(norm)))
+        try:
+            value = float(norm)
+        except OverflowError:  # too large for a float: written as inf or -inf
+            value = math.inf if norm > 0 else -math.inf
+        rows.append((*labels, m, raw, _fmt_frac(norm), value))
         print(f"order {m}: C={raw}  normalized={norm}")
     _write_csv(
         args.out,
@@ -209,7 +213,7 @@ CHECKS = (*SWEEP_CHECKS, "averages")
 def _sweep_averages(args) -> int:
     q = args.q
     A = correlation.parse_symbols(args.A, q)
-    B = correlation.parse_symbols(args.B or args.A, q)
+    B = correlation.parse_symbols(args.B if args.B is not None else args.A, q)
     expected = Fraction(len(A) * len(B), q)
     rows = []
     for r in range(args.r + 1):

@@ -239,7 +239,6 @@ class _MarkerEngine:
         if len(rows) > length:
             return
         cap = self.max_weight
-        _check_table_size(length, cap)
         if cap < 0:  # no word has fewer than 0 ones
             while len(rows) <= length:
                 rows.append([])
@@ -415,18 +414,17 @@ _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
 def _engine(pattern: str, max_weight: int, length: int = 0) -> _MarkerEngine:
     """The engine of (pattern, max_weight), its count table grown to length.
 
-    A new engine evicts the cached one, and is cached only once its table
-    has been accepted and built.
+    The table size and then the pattern are checked first, so a refused
+    call leaves the cache as it was.  Then the cache is emptied, and the
+    engine is cached once its table has been built.
     """
     if length < 0:
         raise ValueError(f"length {length} is negative")
-    key = (pattern, max_weight)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        _ENGINES.clear()
-        eng = _MarkerEngine(pattern, max_weight)
+    _check_table_size(length, max_weight)
+    eng = _ENGINES.get((pattern, max_weight)) or _MarkerEngine(pattern, max_weight)
+    _ENGINES.clear()
     eng.ensure(length)
-    _ENGINES[key] = eng
+    _ENGINES[pattern, max_weight] = eng
     return eng
 
 
@@ -625,7 +623,7 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
     weight separation 3*l*p/2 < 2*(l//4) (so the families are disjoint) and
     an injective encoding |sparse(l)| <= |safe dense(l)|, counted exactly.
     Refuses, before building it, a count table of more than
-    MAX_SWAP_TABLE_CELLS cells (_check_table_size).
+    MAX_SWAP_TABLE_CELLS cells (see `_engine`).
     """
     mlen = len(params.marker)
     lo_l = max(params.short_bound - mlen, 0)
@@ -638,8 +636,6 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
             max_free_length=-1,
             reasons=("no medium intervals for these parameters",),
         )
-    # refused before the cached engine is touched
-    _check_table_size(hi_l, max(weight_bounds(hi_l, params.p)[1], 0))
     engine = _params_engine(params, hi_l)
     reasons: list[str] = []
     num, den = params.p.numerator, params.p.denominator

@@ -455,29 +455,26 @@ def _block_digits(q: int, r: int) -> int:
 
 
 def _balanced_blocks(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The tables among indices lo..hi-1 balanced on words of lengths 1, 2 and 3.
+    """The tables of blocks lo..hi-1 balanced on words of lengths 1, 2 and 3.
 
-    Yields one array of table rows, in index order, per block of q^k
-    consecutive indices (k from `_block_digits`) that meets lo..hi-1.  A
-    block's tables share their first q^(r+1) - k entries, so balance at
-    length 1 needs its last k entries to hold q^r of each symbol minus the
-    shared entries' counts.  These are read from the precomputed symbol
-    counts of every k-digit tail, and only the tables that pass are
-    decoded.  Balance at lengths 2 and 3 then filters the decoded rows.  At
-    q=2 r=3, 12,870 of the 65,536 tables are balanced at length 1, and 974
-    at lengths 1 to 3.
+    Block b holds the q^k tables (k from `_block_digits`) whose first
+    q^(r+1) - k entries are b's base-q digits; one array of table rows, in
+    table order, is yielded per block.  Balance at length 1 needs a block's
+    last k entries to hold q^r of each symbol minus the shared entries'
+    counts.  These are read from the precomputed symbol counts of every
+    k-digit tail, and only the tables that pass are decoded.  Balance at
+    lengths 2 and 3 then filters the decoded rows.  At q=2 r=3, 12,870 of
+    the 65,536 tables are balanced at length 1, and 974 at lengths 1 to 3.
     """
     cells, k = q ** (r + 1), _block_digits(q, r)
-    size = q**k
-    tails = np.indices((q,) * k).reshape(k, size).T  # every k-digit tail, in order
+    tails = np.indices((q,) * k).reshape(k, q**k).T  # every k-digit tail, in order
     tail_counts = np.stack([(tails == s).sum(axis=1) for s in range(q)], axis=1)
-    for block in range(lo // size, -(-hi // size)):
+    for block in range(lo, hi):
         head = [block // q ** (cells - k - 1 - i) % q for i in range(cells - k)]
         need = [q**r - head.count(s) for s in range(q)]
         if min(need) < 0:
             continue
-        first, last = max(lo - block * size, 0), min(hi - block * size, size)
-        rows = first + np.flatnonzero((tail_counts[first:last] == need).all(axis=1))
+        rows = np.flatnonzero((tail_counts == need).all(axis=1))
         tables = np.empty((len(rows), cells), dtype=np.int64)
         tables[:, : cells - k] = head
         tables[:, cells - k :] = tails[rows]
@@ -486,8 +483,8 @@ def _balanced_blocks(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield tables
 
 
-def _surjective_in_range(q: int, r: int, limit: int, lo: int, hi: int) -> list:
-    """The surjective rules among table indices lo..hi-1, in table order.
+def _surjective_in_range(q: int, r: int, lo: int, hi: int) -> list:
+    """The surjective rules of blocks lo..hi-1 (see `_balanced_blocks`), in table order.
 
     Surjectivity forces balance at every word length (Hedlund 1969).  Each
     block of `_balanced_blocks` (balanced at lengths 1 to 3) keeps its left-
@@ -496,7 +493,6 @@ def _surjective_in_range(q: int, r: int, limit: int, lo: int, hi: int) -> list:
     974 tables, 496 permutive, and 86 pair-graph calls, all surjective; at
     q=3 r=1 every one of the 420 balanced tables is permutive.
     """
-    check_rule_space(q, r, limit)
     found = []
     for tables in _balanced_blocks(q, r, lo, hi):
         keep = _permutive_rows(q, tables)
@@ -517,13 +513,14 @@ def surjective_rules(
 ) -> tuple[LocalRule, ...]:
     """All surjective radius-r rules in table order, cached on (q, r) for sweeps.
 
-    The filter runs on `jobs` workers (see `map_ranges`); the result does
-    not depend on `jobs`.  Refuses rule spaces larger than `limit` tables,
-    cached or not, and every space `check_rule_space` refuses.
+    The filter runs on `jobs` workers (see `map_ranges`), in whole blocks
+    of `_balanced_blocks`; the result does not depend on `jobs`.  Refuses
+    rule spaces larger than `limit` tables, cached or not, and every space
+    `check_rule_space` refuses.
     """
     count = check_rule_space(q, r, limit)
     if (q, r) not in _SURJECTIVE_RULES:
-        parts = map_ranges(_surjective_in_range, count, jobs, q, r, limit)
+        parts = map_ranges(_surjective_in_range, count // q ** _block_digits(q, r), jobs, q, r)
         _SURJECTIVE_RULES[q, r] = tuple(rule for part in parts for rule in part)
     return _SURJECTIVE_RULES[q, r]
 

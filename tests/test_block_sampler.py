@@ -308,6 +308,17 @@ class TestEstimation:
         with pytest.raises(ValueError, match="XOR step count must be >= 0, got -1"):
             estimate_cylinder(BlockSampler(params, -1), "0", 2, seed=0)
 
+    @pytest.mark.parametrize("word", ["", "12", "0a1"])
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_empty_or_non_binary_word_refused_before_any_draw(self, word, steps, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a window was drawn for a word no window can hold")
+
+        monkeypatch.setattr(block_sampler, "sample_hierarchical", no_draw)
+        sampler = BlockSampler(BlockMeasureParams(3), steps)
+        with pytest.raises(ValueError, match="word must be a nonempty binary word"):
+            estimate_cylinder(sampler, word, 50, seed=1)
+
     def test_negation_symmetry_extremes(self):
         # the window distribution is invariant under cellwise negation
         params0 = BlockMeasureParams(levels=3, alpha=Fraction(0))

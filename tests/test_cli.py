@@ -73,6 +73,24 @@ class TestRuleCommands:
     def test_bad_rule_is_usage_error(self, capsys):
         assert main(["rule", "info", "2 1 01"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rule", "info", "2 10 " + "0" * 2048],
+             "q^(2r) = 1048576 pair-graph vertices exceeds limit 262144"),
+            (["rule", "surjective", "2 1 0110", "2 x 01"],
+             "bad alphabet size or radius in '2 x 01'"),
+            (["rule", "surjective", "2 1 0110", "2 10 " + "0" * 2048],
+             "q^(2r) = 1048576 pair-graph vertices exceeds limit 262144"),
+        ],
+        ids=["info-pair-graph", "surjective-bad-second", "surjective-oversize-second"],
+    )
+    def test_refused_before_the_first_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["rule"])
@@ -125,6 +143,26 @@ class TestCorrelate:
         assert stdout_digest == "7a12fa681f6211f737dccef3013b5b73695869c1423d652f54519c918cedb672"
         assert elapsed < 1.0
 
+    def test_float_overflow_written_as_inf(self, capsys, tmp_path):
+        # orders 0..217 as pinned before order 218's normalized value
+        # overflowed a float; from there the float column holds +-inf
+        out_path = tmp_path / "c.csv"
+        argv = ["correlate", "2 2 01101001", "--A", "1", "--m", "250", "--out", str(out_path)]
+        assert main(argv) == 0
+        rows = out_path.read_bytes().splitlines(keepends=True)
+        stdout = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(rows) == 1 + 251 and len(stdout) == 1 + 251
+        assert hashlib.sha256(b"".join(rows[:219])).hexdigest() == (
+            "b2d7d4041231686eeb945a76f9106007517141c0d8049af2459f9f220cc6f6c9"
+        )
+        assert hashlib.sha256("".join(stdout[:219]).encode()).hexdigest() == (
+            "3d64cc04a24a7375f275fcdd8ce279f18ae70f8eca616f4361cb6563a7486284"
+        )
+        assert b"inf" not in rows[218]
+        tail = [row.split(b",") for row in rows[219:]]
+        assert all(cols[-1] in (b"inf\n", b"-inf\n") for cols in tail)
+        assert all((cols[-1] == b"inf\n") == (cols[-2][0:1] != b"-") for cols in tail)
+
     def test_high_orders_at_a_large_radius_pinned(self, capsys, tmp_path):
         # digests recorded with the exact cell division and the radius recursion
         flags = ["--m", "200", "--r-eff", "22"]
@@ -156,6 +194,12 @@ class TestSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "average=2/3" in out and "equal=True" in out
+
+    def test_averages_empty_B_is_the_empty_set(self, capsys):
+        argv = ["sweep", "--q", "2", "--r", "1", "--check", "averages", "--A", "1", "--B", ""]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("expected=0 equal=True") == 2
 
     def test_conservation_small(self, capsys):
         assert main(["sweep", "--q", "2", "--r", "1", "--check", "conservation"]) == 0

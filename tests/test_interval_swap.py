@@ -389,7 +389,8 @@ class TestParamsValidity:
         assert sum(min(j, cap) + 1 for j in range(params.max_free_length + 1)) == cells
         assert (cells <= interval_swap.MAX_SWAP_TABLE_CELLS) == admitted
         assert (5 * cells <= 1 << 23) == admitted
-        monkeypatch.setattr(interval_swap, "_params_engine", reached)
+        monkeypatch.setattr(interval_swap, "_ENGINES", {})
+        monkeypatch.setattr(interval_swap._MarkerEngine, "ensure", reached)
         check_swap_params.cache_clear()
         with pytest.raises(Reached if admitted else ValueError):
             check_swap_params(params)
@@ -608,9 +609,18 @@ class TestAgainstPerBitOracle:
         ids=["count", "rank", "unrank"],
     )
     def test_oversize_table_refused_at_once(self, call):
+        cached = dict(interval_swap._ENGINES)
         with pytest.raises(ValueError, match="count table of .* cells exceeds limit"):
             call()
-        assert not interval_swap._ENGINES
+        assert interval_swap._ENGINES == cached
+
+    def test_refused_table_keeps_the_cached_one(self):
+        # a refused call for another pattern does not evict the cached table
+        sparse_count(CANON, 100)
+        (engine,) = interval_swap._ENGINES.values()
+        with pytest.raises(ValueError, match="cells exceeds limit"):
+            count_avoiding("10100", 10**7, 0, 10**6)
+        assert list(interval_swap._ENGINES.values()) == [engine]
 
     @pytest.mark.parametrize(
         "call",

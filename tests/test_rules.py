@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 from collections import Counter
 
@@ -487,7 +488,8 @@ class TestEnumeration:
         assert len(surjective_rules(2, 1)) == 6
 
     def test_surjective_rules_jobs_invariant(self, monkeypatch):
-        # two workers cut 19,683 ternary indices at 9,841, inside a block
+        # q=2 r=2 is one block of 256 tables, run in-process; the 19,683
+        # ternary tables are three blocks, and two workers take 1 and 2
         for q, r in ((2, 2), (3, 1)):
             monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
             one = surjective_rules(q, r, jobs=1)
@@ -505,6 +507,18 @@ class TestEnumeration:
         monkeypatch.setattr(rules, "map_ranges", no_pool)
         assert surjective_rules(2, 2, limit=256, jobs=2) is first
 
+    @pytest.mark.parametrize("q, r", [(2, 0), (2, 1), (2, 2), (3, 0), (4, 0), (5, 0)])
+    def test_one_block_space_starts_no_pool(self, q, r, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block rule space started a process pool")
+
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        expected = surjective_rules(q, r)
+        assert q ** rules._block_digits(q, r) == rule_count(q, r)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(rules, "_SURJECTIVE_RULES", {})
+        assert surjective_rules(q, r, jobs=2) == expected
+
     def test_surjective_rules_limit_before_pool(self, monkeypatch):
         def no_pool(*args):
             raise AssertionError("map_ranges ran on an oversize rule space")
@@ -520,7 +534,9 @@ class TestEnumeration:
         # oracle: preimage counts of every word of length 2 and 3
         kept = {
             tuple(table)
-            for block in rules._balanced_blocks(q, r, 0, rule_count(q, r))
+            for block in rules._balanced_blocks(
+                q, r, 0, rule_count(q, r) // q ** rules._block_digits(q, r)
+            )
             for table in block.tolist()
         }
         expected = {
@@ -563,18 +579,14 @@ class TestEnumeration:
         assert len(seen) == calls
         assert set(seen) <= set(found)
 
-    @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1 / 4, 1 / 2, 5 / 2)), (3, 1, (1 / 3, 3 / 2))])
+    @pytest.mark.parametrize("q, r, cuts", [(2, 3, (1, 2, 9)), (3, 1, (1,))])
     def test_uneven_ranges_concatenate_to_the_whole(self, q, r, cuts):
-        # cuts in blocks of the whole range: each falls strictly inside a
-        # block, and at q=2 r=3 two of them cut one block into three ranges
-        count = rule_count(q, r)
-        step = q ** rules._block_digits(q, r)
-        cuts = [int(cut * step) for cut in cuts]
-        assert step < count and all(0 < cut % step for cut in cuts)
-        bounds = (0, *cuts, count)
+        # cuts in whole blocks: 16 binary radius-3 blocks as 1, 1, 7 and 7,
+        # and 3 ternary radius-1 blocks as 1 and 2
+        blocks = rule_count(q, r) // q ** rules._block_digits(q, r)
+        bounds = (0, *cuts, blocks)
         parts = [
-            rules._surjective_in_range(q, r, count, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
+            rules._surjective_in_range(q, r, lo, hi) for lo, hi in zip(bounds, bounds[1:])
         ]
         assert all(parts)
         assert tuple(itertools.chain(*parts)) == surjective_rules(q, r)
@@ -603,8 +615,6 @@ class TestEnumeration:
         limit = limit or rules.DEFAULT_ENUMERATION_LIMIT
         with pytest.raises(ValueError, match=message):
             surjective_rules(q, 0, limit=limit)
-        with pytest.raises(ValueError, match=message):
-            rules._surjective_in_range(q, 0, limit, 0, 1)
 
     def test_lexicographic_order(self):
         tables = [r.table for r in enumerate_rules(2, 1)]
