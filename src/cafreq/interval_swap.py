@@ -18,21 +18,23 @@ code words that are themselves marker-free: code words ending in a set code
 bit directly before a zero tail of length >= 2 contain (10)^2 0 for n = 2,
 so the naive full code family would break both properties.
 
-Sparse ranking and counting read a lazily grown table with one row of
-big-integer counts per length, the one table a process holds: the
-generating function of the marker-free words read from any state of the
-marker automaton is a short numerator over one shared denominator, so a
-count from any state is a few signed reads of the rows of 1/denominator,
-and from the start state, for the marker, one read.  Rank and
-unrank cost O(weight * log length) table lookups: along a run of zeros the
-automaton soon reaches a state that a 0 leaves unchanged, and from there
-the whole run is found by one search.  The marker-free code words need no
-table: they are the code words whose code bits are free bits followed by a
-fixed suffix, so a safe rank is the free bits read as a binary number.
+Sparse ranking and counting read a lazily grown table, the one table a
+process holds, with one column of big-integer counts per weight up to a
+cap: the generating function of the marker-free words read from any state
+of the marker automaton is a short numerator over one shared denominator,
+so a count from any state is a few signed reads of the columns of
+1/denominator, and from the start state, for the marker, one read.  Along
+a run of zeros the automaton soon reaches a state that a 0 leaves
+unchanged; from there unrank finds the whole run by bisecting a column in
+C.  The marker-free code words need no table: they are the code words
+whose code bits are free bits followed by a fixed suffix, so a safe rank
+is the free bits read as a binary number.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -197,101 +199,109 @@ def _sorted_terms(poly: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int
 #: refuse a sparse count table of more big-integer cells than this
 MAX_SWAP_TABLE_CELLS = (1 << 23) // 5
 
+#: refuse a longer avoided pattern: its automaton and series terms cost
+#: about the cube of its length before any table is built
+MAX_PATTERN_LENGTH = 128
+
 
 def _check_table_size(length: int, cap: int) -> None:
     """Refuse, before it is built, a count table over MAX_SWAP_TABLE_CELLS.
 
-    The table for lengths 0..length holds min(j, cap) + 1 cells per length
-    j; a negative cap is counted as 0.
+    The table for lengths 0..length holds cap + 1 columns of length + 1
+    cells; a negative cap holds none.
     """
-    cap = max(cap, 0)
-    k = min(length, cap)
-    cells = (k + 1) * (k + 2) // 2 + (length - k) * (cap + 1)
+    cells = max(cap + 1, 0) * (length + 1)
     check_size(MAX_SWAP_TABLE_CELLS, "swap count table of {size} cells", cells)
 
 
 class _MarkerEngine:
     """The count table of one avoided pattern and one weight cap.
 
-    `rows[j][t]` is the sum of the coefficients of x^j y^u, u <= t, in
-    G = 1/Den (see _series_terms), for t <= min(j, cap).  The words of
-    length j read from automaton state s with at most t ones, t clamped at
-    the cap, number sum coef * rows[j - k][t - w] over the terms of N_s,
-    each read clamped at its row's end and 0 off the table.  For a pattern
-    without proper borders, such as every marker (10)^n 0, c = 1, so N_0 = 1
-    and state 0 reads one row.  Rows grow lazily and never change.
+    `cols[t][j]` is the sum of the coefficients of x^j y^u, u <= t, in
+    G = 1/Den (see _series_terms), for t <= cap and every length j built.
+    The words of length j read from automaton state s with at most t ones,
+    t clamped at the cap, number sum coef * cols[t - w][j - k] over the
+    terms of N_s, each read 0 off the table.  For a pattern without proper
+    borders, such as every marker (10)^n 0, c = 1, so N_0 = 1 and state 0
+    reads one column.  Columns grow lazily, and built cells never change.
     """
 
     def __init__(self, pattern: str, max_weight: int):
         if not pattern or any(c not in "01" for c in pattern):
             raise ValueError("avoided pattern must be a nonempty binary word")
+        check_size(MAX_PATTERN_LENGTH, "avoided pattern of {size} letters", len(pattern))
         self.pattern = pattern
         self.max_weight = max_weight
         self.states = len(pattern)
         self.delta = _factor_automaton(pattern)
         den, self.numerators = _series_terms(pattern)
-        # G * Den = 1: G(j, t) = -sum coef G(j - k, t - w) over Den's terms but 1
-        self.recurrence = [(k, w, -coef) for k, w, coef in den if k]
-        self.rows: list[list[int]] = [[1]]
+        # G * Den = 1: G(j, t) = -sum coef G(j - k, t - w) over Den's terms
+        # but 1.  Den's only term with w = 0 is -x, absent for 0^m: then
+        # G(j, t) = G(j - 1, t) + the rest, one running sum down a column
+        self.recurrence = [(k, w, -coef) for k, w, coef in den if w]
+        self.running = (1, 0, -1) in den
+        self.cols: list[list[int]] = [[] for _ in range(max_weight + 1)]
+        self.length = -1  # the longest length built
 
     def ensure(self, length: int) -> None:
-        rows = self.rows
-        if len(rows) > length:
+        start, stop = self.length + 1, length + 1
+        if start >= stop:
             return
-        cap = self.max_weight
-        if cap < 0:  # no word has fewer than 0 ones
-            while len(rows) <= length:
-                rows.append([])
-            return
-        add, sub = operator.add, operator.sub
-        while len(rows) <= length:
-            j = len(rows)
-            size = min(j, cap) + 1
-            row = None
+        cols = self.cols
+        for t, col in enumerate(cols):
+            if t:
+                # no word of length j < t has t ones: G(j, t) = G(j, t - 1)
+                col += cols[t - 1][start:min(t, stop)]
+            elif not start:
+                col.append(1)  # G(0, 0)
+            j0 = len(col)
+            if j0 == stop:
+                continue
+            rest = None
             for k, w, coef in self.recurrence:
-                if k > j:
-                    break
-                if w >= size:
+                if w > t or k >= stop:
                     continue
-                # rows[j - k][t - w] for t < size: 0 below w, the last cell past the end
-                src = rows[j - k]
-                part = src[: size - w]
-                if len(part) < size - w:
-                    part += [part[-1]] * (size - w - len(part))
-                if w:
-                    part = [0] * w + part
-                if row is None:
-                    row = part if coef > 0 else [-v for v in part]
+                # cols[t - w][j - k] for j0 <= j < stop, 0 below length 0
+                src = cols[t - w]
+                part = src[j0 - k : stop - k] if j0 >= k else [0] * (k - j0) + src[: stop - k]
+                if rest is None:
+                    rest = part if coef > 0 else map(operator.neg, part)
                 else:
-                    row = list(map(add if coef > 0 else sub, row, part))
-            rows.append(row if row is not None else [0] * size)
+                    rest = map(operator.add if coef > 0 else operator.sub, rest, part)
+            if rest is None:
+                rest = itertools.repeat(0, stop - j0)
+            if self.running:
+                sums = itertools.islice(itertools.accumulate(rest, initial=col[-1]), 1, None)
+                # CPython gives a sum of two positive ints a spare digit and
+                # a difference none: x - 0 stores x at its exact size, 2-3 MB
+                # less at the canonical parameters
+                rest = map(operator.sub, sums, itertools.repeat(0))
+            # a list, unlike an iterator, extends a long column at its exact size
+            col += list(rest)
+        self.length = length
 
     def count_range(self, j: int, s: int, lo: int, hi: int) -> int:
         """Words of length j read from state s with lo..hi ones."""
         cap = self.max_weight
-        if hi > cap:  # a row ends at the cap: more ones count as the cap
+        if hi > cap:  # a column past the cap counts as the cap's
             hi = cap
         below = (lo if lo <= cap else cap + 1) - 1  # the count of at most `below` ones goes
+        cols = self.cols
         terms = self.numerators[s]
-        if terms is _UNIT:  # N_s = 1: one row, two reads
-            row = self.rows[j]
-            top = len(row) - 1
-            count = row[hi if hi < top else top] if hi >= 0 else 0
+        if terms is _UNIT:  # N_s = 1: one column, two reads
+            count = cols[hi][j] if hi >= 0 else 0
             if below >= 0:
-                count -= row[below if below < top else top]
+                count -= cols[below][j]
             return count
-        rows = self.rows
         count = 0
         for k, w, coef in terms:
             if k > j:
                 break
-            row = rows[j - k]
-            top = len(row) - 1
             t = hi - w
-            c = row[t if t < top else top] if t >= 0 else 0
+            c = cols[t][j - k] if t >= 0 else 0
             t = below - w
             if t >= 0:
-                c -= row[t if t < top else top]
+                c -= cols[t][j - k]
             count += coef * c
         return count
 
@@ -340,21 +350,29 @@ class _MarkerEngine:
         return rank
 
     def unrank(self, length: int, index: int, lo: int, hi: int) -> str:
-        """Word of the given rank; a run of zeros costs O(log run) lookups.
+        """Word of the given rank; a run of zeros costs one or two C bisections.
 
-        At a state s that a 0 keeps, a 0 followed by k more cells leaves
-        c(k) = count_range(k, s, lo - w, hi - w) words, and c never
-        decreases with k: a 0 in front of a valid word keeps it valid.  So
-        the next 1 sits where k is the largest one with c(k) <= index,
-        found by galloping down from the current position and then
-        bisecting; every cell before it is a 0.
+        At a state s that a 0 keeps and whose numerator is 1, a 0 followed
+        by k more cells leaves c(k) = count_range(k, s, lo - w, hi - w)
+        words, and c never decreases with k: a 0 in front of a valid word
+        keeps it valid.  So the next 1 sits where k is the largest one with
+        c(k) <= index, and every cell before it is a 0.  With a..b ones
+        still to place, c(k) is cols[b][k] when a <= 0, one bisection of
+        cols[b].  Otherwise it is cols[b][k] - cols[a - 1][k], which lies
+        between cols[b][k] - cols[a - 1][j] and cols[b][k]: two bisections
+        of cols[b] bound k, and an exact bisection between the bounds,
+        usually over no cell at all, finds it.  At every other state the
+        word is decoded one cell at a time.
         """
         total = self.count(length, lo, hi)
         if not 0 <= index < total:
             raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
         m = self.states
         delta = self.delta
+        cols = self.cols
+        cap = self.max_weight
         count_range = self.count_range
+        numerators = self.numerators
         out = []
         s = 0
         w = 0
@@ -362,7 +380,7 @@ class _MarkerEngine:
         while left:
             j = left - 1  # cells after the next one
             s0, s1 = delta[s]
-            if s0 != s:
+            if s0 != s or numerators[s] is not _UNIT:
                 c0 = count_range(j, s0, lo - w, hi - w) if s0 < m else 0
                 if index < c0:
                     out.append("0")
@@ -374,30 +392,25 @@ class _MarkerEngine:
                     s = s1
                 left = j
                 continue
-            a, b = lo - w, hi - w
-            k, ck = j, count_range(j, s, a, b)
-            if ck > index:
-                # gallop to c(k) <= index < c(top), then bisect; c(-1) = 0
-                top, step = j, 1
-                while True:
-                    k = top - step
-                    if k < 0:
-                        k, ck = -1, 0
-                        break
-                    ck = count_range(k, s, a, b)
-                    if ck <= index:
-                        break
-                    top, step = k, 2 * step
-                while top - k > 1:
-                    mid = (k + top) // 2
-                    c = count_range(mid, s, a, b)
-                    if c <= index:
-                        k, ck = mid, c
-                    else:
-                        top = mid
-                out.append("0" * (j - k))
-                if k < 0:
-                    break
+            # c(k) <= high[k]: c(k) <= index below the first high[k] > index
+            high = cols[min(hi - w, cap)]
+            k = bisect.bisect_right(high, index, 0, left) - 1
+            a = lo - w
+            if a > 0:
+                # c(k) >= high[k] - low[j]: c(k) > index from the first
+                # high[k] > index + low[j] on
+                low = cols[a - 1]
+                top = bisect.bisect_right(high, index + low[j], k + 1, left)
+                if top > k + 1:
+                    k = bisect.bisect_right(
+                        range(top), index, k + 1, top, key=lambda i: high[i] - low[i]
+                    ) - 1
+                ck = high[k] - low[k] if k >= 0 else 0
+            else:
+                ck = high[k] if k >= 0 else 0
+            out.append("0" * (j - k))
+            if k < 0:
+                break
             index -= ck
             out.append("1")
             w += 1
@@ -407,7 +420,7 @@ class _MarkerEngine:
         return "".join(out)
 
 
-#: the most recently used engine only: the canonical table takes about 100 MB
+#: the most recently used engine only: the canonical table takes about 80 MB
 _ENGINES: dict[tuple[str, int], _MarkerEngine] = {}
 
 
@@ -677,12 +690,16 @@ class SwapStats:
     dense_spans: tuple[tuple[int, int], ...]  # rewritten free parts now in code form
 
 
-def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats]:
+def _apply_swap_details(
+    window: str, params: SwapParams
+) -> tuple[str, SwapStats, list[int]]:
+    """The swapped window, its statistics and the window's marker occurrences."""
     engine = _params_engine(params)
     marker = params.marker
     mlen = len(marker)
     occ = marker_occurrences(window, marker)
-    out = list(window)
+    pieces = []  # the window's cells up to each rewritten free part, then the part
+    kept = 0  # the window's cells before `kept` are in pieces
     complete = medium = to_dense = to_sparse = 0
     dense_spans = []
     for a, b in zip(occ, occ[1:]):
@@ -700,14 +717,18 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
                 idx = _rank_safe_code_bits(params.n, bits, l % 4)
             except ValueError:
                 continue  # code word containing the marker cannot occur here
-            if idx < engine.count(l, lo, hi):
-                out[a + mlen : b] = engine.unrank(l, idx, lo, hi)
-                to_sparse += 1
+            if idx >= engine.count(l, lo, hi):
+                continue
+            part = engine.unrank(l, idx, lo, hi)
+            to_sparse += 1
         elif lo <= v.count("1") <= hi:
-            idx = engine.rank(v, lo, hi)
-            out[a + mlen : b] = unrank_dense_safe(params, l, idx)
+            part = unrank_dense_safe(params, l, engine.rank(v, lo, hi))
             to_dense += 1
             dense_spans.append((a + mlen, b))
+        else:
+            continue
+        pieces += window[kept : a + mlen], part
+        kept = b
     stats = SwapStats(
         occurrences=len(occ),
         complete=complete,
@@ -716,7 +737,8 @@ def _apply_swap_details(window: str, params: SwapParams) -> tuple[str, SwapStats
         to_sparse=to_sparse,
         dense_spans=tuple(dense_spans),
     )
-    return "".join(out), stats
+    pieces.append(window[kept:])
+    return "".join(pieces), stats, occ
 
 
 def apply_swap(window: str, params: SwapParams) -> str:
@@ -760,10 +782,9 @@ def _max_run(word: str) -> int:
 def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTrial:
     rng = SplitMix64.for_index(seed, index)
     window = bernoulli_word(rng, length, params.p)
-    once, stats = _apply_swap_details(window, params)
-    twice, _ = _apply_swap_details(once, params)
-    marker = params.marker
-    conserved = marker_occurrences(window, marker) == marker_occurrences(once, marker)
+    once, stats, occ = _apply_swap_details(window, params)
+    twice, _, occ_once = _apply_swap_details(once, params)
+    conserved = occ == occ_once
     quad_free = True
     max_run = 0
     for s, e in stats.dense_spans:

@@ -877,10 +877,11 @@ def test_spawned_workers_match_serial_run(tmp_path):
          "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
         (["measure", "contraction", "2 1 0110", "--measure", "uniform", "--n", "20000"],
          "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
+        # (cap + 1)(length + 1) cells: cap + 1 columns of every length
         (["fn", "check", "--n", "5000", "--p", "1/2"],
-         "swap count table of 2^20025+ cells exceeds limit 1677721"),
+         "swap count table of 2^20026+ cells exceeds limit 1677721"),
         (["fn", "apply", "--n", "5000", "--p", "1/2", "--windows", "1"],
-         "swap count table of 2^20025+ cells exceeds limit 1677721"),
+         "swap count table of 2^20026+ cells exceeds limit 1677721"),
     ],
     ids=["rule-info", "sweep-q3000", "sweep-q1000", "pushforward", "contraction",
          "fn-check", "fn-apply"],

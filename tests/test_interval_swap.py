@@ -236,14 +236,14 @@ NEGATIVE_LENGTH_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(NEGATIVE_LENGTH_CALLS))
 def test_negative_length_refused_before_any_table(name):
-    # a negative index would read the last row of the cached table
+    # a negative length would read the last cells of the cached table
     count_avoiding("10100", 30, 0, 5)
     cached = dict(interval_swap._ENGINES)
-    rows = [len(engine.rows) for engine in cached.values()]
+    built = [engine.length for engine in cached.values()]
     with pytest.raises(ValueError, match="length -1 is negative"):
         NEGATIVE_LENGTH_CALLS[name]()
     assert interval_swap._ENGINES == cached
-    assert [len(engine.rows) for engine in cached.values()] == rows
+    assert [engine.length for engine in cached.values()] == built
 
 
 class TestDecomposition:
@@ -318,9 +318,11 @@ class TestApplySwap:
 
     def test_details_track_rewrites(self):
         free = unrank_sparse(CANON, 195, 7)
-        out, stats = _apply_swap_details(medium_window(free), CANON)
+        out, stats, occ = _apply_swap_details(medium_window(free), CANON)
         assert stats.medium == 1 and stats.to_dense == 1 and stats.to_sparse == 0
         assert stats.dense_spans == ((5, 200),)
+        assert occ == [0, 200] == marker_occurrences(out, CANON.marker)
+        assert out[:5] + out[200:] == CANON.marker * 2
 
     def test_invalid_params_rejected(self):
         bad = SwapParams(2, Fraction(1, 5))
@@ -360,8 +362,8 @@ class TestParamsValidity:
         params = SwapParams(2, Fraction(1, 20))
         check_swap_params(params)
         engine = _params_engine(params)
-        cells = sum(map(len, engine.rows))
-        assert len(engine.rows) == params.max_free_length + 1
+        cells = sum(map(len, engine.cols))
+        assert {len(col) for col in engine.cols} == {params.max_free_length + 1}
         check_swap_params.cache_clear()
         monkeypatch.setattr(interval_swap, "MAX_SWAP_TABLE_CELLS", cells)
         check_swap_params(params)
@@ -371,13 +373,14 @@ class TestParamsValidity:
             check_swap_params(params)
 
     @pytest.mark.parametrize(
-        "p, cells, admitted",
+        "p, rows, admitted",
         [(Fraction(1, 63), 1_638_964, True), (Fraction(1, 64), 1_715_889, False),
          (Fraction(1, 100), 6_343_995, False)],
     )
-    def test_size_guard_boundary_at_n2(self, p, cells, admitted, monkeypatch):
-        # the guard admits the same (2, p) as when it counted 5 rows per length
-        # against 2^23 cells; no table is built either way
+    def test_size_guard_boundary_at_n2(self, p, rows, admitted, monkeypatch):
+        # the guard admits the same (2, p) as when it counted 5 rows of
+        # min(j, cap) + 1 cells per length j against 2^23 cells, now that the
+        # table holds cap + 1 columns; no table is built either way
         class Reached(Exception):
             pass
 
@@ -385,10 +388,13 @@ class TestParamsValidity:
             raise Reached
 
         params = SwapParams(2, p)
-        cap = weight_bounds(params.max_free_length, p)[1]
-        assert sum(min(j, cap) + 1 for j in range(params.max_free_length + 1)) == cells
+        length = params.max_free_length
+        cap = weight_bounds(length, p)[1]
+        assert sum(min(j, cap) + 1 for j in range(length + 1)) == rows
+        assert (5 * rows <= 1 << 23) == admitted
+        cells = (cap + 1) * (length + 1)
+        assert cells == {63: 1_658_665, 64: 1_736_190, 100: 6_391_890}[p.denominator]
         assert (cells <= interval_swap.MAX_SWAP_TABLE_CELLS) == admitted
-        assert (5 * cells <= 1 << 23) == admitted
         monkeypatch.setattr(interval_swap, "_ENGINES", {})
         monkeypatch.setattr(interval_swap._MarkerEngine, "ensure", reached)
         check_swap_params.cache_clear()
@@ -546,12 +552,46 @@ class TestAgainstPerBitOracle:
         assert numerators[0] is interval_swap._UNIT
 
     def test_denominator_coefficients_are_units(self):
-        # the row build adds or subtracts whole rows
+        # the column build adds or subtracts whole shifted columns, and -x is
+        # Den's only term that reads the column being built (none for 0^m)
         for m in range(1, 9):
             for bits in itertools.product("01", repeat=m):
-                den, _ = interval_swap._series_terms("".join(bits))
+                pattern = "".join(bits)
+                den, _ = interval_swap._series_terms(pattern)
                 assert den[0] == (0, 0, 1)
                 assert all(abs(coef) == 1 for _, _, coef in den)
+                same_column = [term for term in den[1:] if term[1] == 0]
+                assert same_column == ([] if pattern == "0" * m else [(1, 0, -1)])
+
+    def test_grown_table_matches_one_build(self):
+        grown = interval_swap._MarkerEngine(CANON.marker, CANON_CAP)
+        for length in (7, 100, CANON.max_free_length):
+            grown.ensure(length)
+        once = interval_swap._MarkerEngine(CANON.marker, CANON_CAP)
+        once.ensure(CANON.max_free_length)
+        assert grown.length == once.length == CANON.max_free_length
+        assert grown.cols == once.cols
+
+    @pytest.mark.parametrize("length", [200, 1000])
+    def test_unrank_of_packed_ones_matches_per_bit_walk(self, length, canonical_layers):
+        # ones last: the first run of zeros still owes lo ones, so its count
+        # subtracts a second column; ones first: the last run owes none and
+        # reaches the end; ones at both ends take both searches
+        lo, hi = weight_bounds(length, CANON.p)
+        words = []
+        for u in range(lo, hi + 1):
+            for first in (0, u, u // 2, 1):
+                words.append("1" * first + "0" * (length - u) + "1" * (u - first))
+        total = sparse_count(CANON, length)
+        for word in words:
+            idx = reference_rank(CANON.marker, canonical_layers, word, lo, hi)
+            assert rank_sparse(CANON, word) == idx
+            assert unrank_sparse(CANON, length, idx) == word
+            for i in (idx - 1, idx + 1):
+                if 0 <= i < total:
+                    assert unrank_sparse(CANON, length, i) == reference_unrank(
+                        CANON.marker, canonical_layers, length, i, lo, hi
+                    )
 
     @pytest.mark.parametrize("length", [195, 1000, 5318])
     def test_canonical_unrank_and_rank(self, length, canonical_layers):
@@ -614,6 +654,21 @@ class TestAgainstPerBitOracle:
             call()
         assert interval_swap._ENGINES == cached
 
+    def test_long_pattern_refused_before_its_automaton(self, monkeypatch):
+        # the automaton and series terms of an m-letter pattern cost about m^3
+        def unreachable(*args):
+            raise AssertionError("reached the automaton or the series terms")
+
+        sparse_count(CANON, 100)
+        cached = dict(interval_swap._ENGINES)
+        for name in ("_factor_automaton", "_series_terms"):
+            monkeypatch.setattr(interval_swap, name, unreachable)
+        with pytest.raises(ValueError, match="avoided pattern of 2001 letters exceeds limit 128"):
+            count_avoiding("10" * 1000 + "0", 10, 0, 10)
+        assert interval_swap._ENGINES == cached
+        monkeypatch.undo()
+        assert count_avoiding("1" * 128, 10, 0, 10) == 1 << 10
+
     def test_refused_table_keeps_the_cached_one(self):
         # a refused call for another pattern does not evict the cached table
         sparse_count(CANON, 100)
@@ -633,11 +688,11 @@ class TestAgainstPerBitOracle:
     )
     def test_oversize_sparse_table_refused_and_cached_one_kept(self, call):
         engine = _params_engine(CANON, 200)
-        built = len(engine.rows)
+        built = engine.length
         with pytest.raises(ValueError, match="cells exceeds limit"):
             call()
         assert list(interval_swap._ENGINES.values()) == [engine]
-        assert len(engine.rows) == built
+        assert engine.length == built
 
 
 from hypothesis import given, settings
