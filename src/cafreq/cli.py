@@ -116,6 +116,7 @@ def _cmd_correlate(args) -> int:
     A = _symbols(rule, args.A)
     B = _symbols(rule, args.B if args.B is not None else args.A)
     _refuse_below("--m", args.m, 0)
+    correlation.check_order(args.m)
     h = correlation.histogram(rule, A, B, args.r_eff)
     print(f"histogram (r_eff={h.r}): {h.counts}  total={h.total}")
     rows = []
@@ -231,6 +232,7 @@ def _cmd_sweep(args) -> int:
     _refuse_below("--r", args.r, 0)
     _refuse_below("--max-period", args.max_period, 1)
     _refuse_below("--m-max", args.m_max, 0)
+    correlation.check_order(args.m_max)
     if args.check == "averages" and args.rules_file:
         raise ValueError("--check averages averages over every rule and reads no --rules-file")
     if not args.rules_file:

@@ -50,6 +50,17 @@ MAX_SCAN_WORDS = 1 << 24
 MAX_SUBSET_ALPHABET = 16
 
 
+#: correlation orders (`correlate --m`, `sweep --m-max`) refuse more than
+#: this: the solve takes about m^2 products of integers that grow with m; on
+#: a 2-core VM `--m 512` took 1.1-1.2 s at r = 3, `--m 800` 5.3 s, `--m 1600` 61 s
+MAX_ORDER = 512
+
+
+def check_order(m: int) -> None:
+    """Refuse a correlation order over MAX_ORDER before any moment is summed."""
+    check_size(MAX_ORDER, "correlation order {size}", m)
+
+
 #: histograms of rules with at most this many neighborhoods read their
 #: A-counts from a cache of 64 entries (at most 2 MB); larger ones count afresh
 CACHED_NEIGHBORHOODS = 1 << 12
@@ -110,6 +121,7 @@ class Histogram:
         """
         if m < 0:
             raise ValueError("order must be >= 0")
+        check_order(m)
         q, a, r = self.q, len(self.A), self.r
         d = q**r
         # c_k * d^(k-1) for k = 1..m, which keeps every u_i an integer
@@ -200,7 +212,7 @@ def correlation_report(
     rule: LocalRule, A: SymbolsLike, B: SymbolsLike, m: int = 1
 ) -> CorrelationReport:
     h = histogram(rule, A, B)
-    normalized = h.normalized(m)  # refuses m < 0
+    normalized = h.normalized(m)  # refuses m < 0 and m > MAX_ORDER
     return CorrelationReport(order=m, raw=h.moment(m), normalized=normalized)
 
 
@@ -323,6 +335,7 @@ def check_high_domination(
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    check_order(m_max)
     r = rule.r
     h_rule = histogram(rule, A, A)
     diffs = [i - f for f, i in zip(h_rule.counts, _identity_counts(rule.q, r, len(h_rule.A)))]

@@ -3,12 +3,14 @@
 A measure is represented by its exact rational cylinder values: the
 probability that a given finite word appears at position 0.  Product,
 uniform, Dirac, and finite-depth explicit tables are supported.  Exact
-values are integers over one denominator.  A cylinder vector holds them for
-every word of one length; a rule pushes it from words of n + r cells onto
-their images of n cells (`rules._image_index`), and the contraction,
-invariance and entropy checks read such vectors.  One cylinder of a product
-measure sums its preimage weights along a transfer matrix instead.  Block
-entropy is the one floating-point diagnostic (it needs logarithms).
+values are integers over one denominator.  Each measure builds its own
+cylinder vector, `vector(n)`, which holds them for every word of one length;
+a rule pushes it from words of n + r cells onto their images of n cells
+(`rules._image_index`), and the contraction, invariance and entropy checks
+read such vectors.  `pushforward` asks the measure for one image cylinder,
+`_image`: by default a pushed vector, while a product measure sums its
+preimage weights along its transfer matrix.  Block entropy is the one
+floating-point diagnostic (it needs logarithms).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -50,6 +52,22 @@ class CylinderMeasure:
     def cylinder(self, word: str) -> Fraction:
         raise NotImplementedError
 
+    def vector(self, n: int) -> tuple[np.ndarray, int]:
+        """(v, D) with mu([u]) = v[u] / D for every length-n word u.
+
+        v holds Python ints (object dtype) indexed by word, base q, leftmost
+        cell most significant; here, the cylinder values over their least
+        common denominator.
+        """
+        values = [self.cylinder(symbols_word(u)) for u in itertools.product(range(self.q), repeat=n)]
+        denominator = math.lcm(*(x.denominator for x in values))
+        return np.array([int(x * denominator) for x in values], dtype=object), denominator
+
+    def _image(self, rule: LocalRule, word: str) -> Fraction:
+        """F mu([word]): the vector over |word| + r cells pushed onto the word."""
+        v, denominator = self.vector(len(word) + rule.r)
+        return Fraction(_push(rule, v)[int(word, rule.q)], denominator)
+
 
 @dataclass(frozen=True)
 class ProductMeasure(CylinderMeasure):
@@ -78,6 +96,37 @@ class ProductMeasure(CylinderMeasure):
         denominator, n = self.weights
         syms = word_symbols(word, self.q)
         return Fraction(math.prod(n[s] for s in syms), denominator ** len(syms))
+
+    def vector(self, n: int) -> tuple[np.ndarray, int]:
+        """The outer product of the integer weights over D^n, each distinct product built once."""
+        denominator, weights = self.weights
+        values, index = [1], np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            products: dict[int, int] = {}  # extend[i][s] numbers values[i] * weights[s]
+            extend = [[products.setdefault(x * w, len(products)) for w in weights] for x in values]
+            values = list(products)
+            index = np.array(extend, dtype=np.int64)[index].reshape(-1)
+        return np.array(values, dtype=object)[index], denominator**n
+
+    def _image(self, rule: LocalRule, word: str) -> Fraction:
+        """Sum prod n[s] over the word's preimages along a transfer matrix, over D^(|word| + r).
+
+        A vector over the q^r de Bruijn states (the table index of the last r
+        cells) holds the weight of the partial preimages ending in each; it
+        starts as the cylinder vector at length r, and reading an output a
+        extends each by every cell b whose neighborhood state*q + b maps to a.
+        """
+        q, states = rule.q, rule.q**rule.r
+        table = np.array(rule.table, dtype=np.uint8).reshape(states, q)
+        weights = np.array(self.weights[1], dtype=object)
+        # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
+        hits = [np.where(table == a, weights, 0) for a in range(q)]
+        v = self.vector(rule.r)[0]
+        for a in word_symbols(word, q):
+            # row-major (state, b) is the neighborhood index; its last r cells,
+            # the next state, are the index modulo q^r
+            v = (v[:, None] * hits[a]).reshape(q, states).sum(axis=0)
+        return Fraction(int(v.sum()), self.weights[0] ** (len(word) + rule.r))
 
     @classmethod
     def uniform(cls, q: int) -> "ProductMeasure":
@@ -121,22 +170,27 @@ class ExplicitMeasure(CylinderMeasure):
         if self._table.get("", Fraction(1)) != 1:
             raise ValueError("the empty cylinder must have measure 1")
         self._table[""] = Fraction(1)
-        for length in range(depth + 1):
-            for syms in itertools.product(range(q), repeat=length):
-                w = symbols_word(syms)
-                if w not in self._table:
-                    raise ValueError(f"missing cylinder value for {w!r}")
+        words = [
+            symbols_word(syms)
+            for length in range(depth + 1)
+            for syms in itertools.product(range(q), repeat=length)
+        ]
+        # every value is present and in range before any sum reads one
+        for w in words:
+            if w not in self._table:
+                raise ValueError(f"missing cylinder value for {w!r}")
+            if not 0 <= self._table[w] <= 1:
+                raise ValueError(f"cylinder value for {w!r} out of [0, 1]")
+        for w in words:
+            if len(w) < depth:
                 v = self._table[w]
-                if v < 0 or v > 1:
-                    raise ValueError(f"cylinder value for {w!r} out of [0, 1]")
-                if length < depth:
-                    right = sum(self._table[w + DIGITS[a]] for a in range(q))
-                    left = sum(self._table[DIGITS[a] + w] for a in range(q))
-                    if right != v or left != v:
-                        raise ValueError(
-                            f"inconsistent explicit table at {w!r}: "
-                            f"{v} vs right {right}, left {left}"
-                        )
+                right = sum(self._table[w + DIGITS[a]] for a in range(q))
+                left = sum(self._table[DIGITS[a] + w] for a in range(q))
+                if right != v or left != v:
+                    raise ValueError(
+                        f"inconsistent explicit table at {w!r}: "
+                        f"{v} vs right {right}, left {left}"
+                    )
 
     def cylinder(self, word: str) -> Fraction:
         word_symbols(word, self.q)
@@ -204,28 +258,6 @@ def _check_vector(limit: Optional[int], what: str, q: int, exponent: int) -> Non
     check_size(MAX_VECTOR_CELLS if limit is None else limit, what, q, exponent)
 
 
-def _cylinder_vector(mu: CylinderMeasure, n: int) -> tuple[np.ndarray, int]:
-    """(v, D) with mu([u]) = v[u] / D for every length-n word u.
-
-    v holds Python ints (object dtype) indexed by word, base q, leftmost
-    cell most significant.  A product measure gives the outer product of its
-    integer weights over D^n, each distinct product built once and shared;
-    any other measure its cylinder values over their least common denominator.
-    """
-    if isinstance(mu, ProductMeasure):
-        denominator, weights = mu.weights
-        values, index = [1], np.zeros(1, dtype=np.int64)
-        for _ in range(n):
-            products: dict[int, int] = {}  # extend[i][s] numbers values[i] * weights[s]
-            extend = [[products.setdefault(x * w, len(products)) for w in weights] for x in values]
-            values = list(products)
-            index = np.array(extend, dtype=np.int64)[index].reshape(-1)
-        return np.array(values, dtype=object)[index], denominator**n
-    values = [mu.cylinder(symbols_word(u)) for u in itertools.product(range(mu.q), repeat=n)]
-    denominator = math.lcm(*(x.denominator for x in values))
-    return np.array([int(x * denominator) for x in values], dtype=object), denominator
-
-
 def _push(rule: LocalRule, v: np.ndarray) -> np.ndarray:
     """Push a cylinder vector over n + r cells onto n cells: u sums v over u's preimages."""
     q, r = rule.q, rule.r
@@ -234,27 +266,6 @@ def _push(rule: LocalRule, v: np.ndarray) -> np.ndarray:
     out = np.zeros(q**n, dtype=object)
     np.add.at(out, image, v)
     return out
-
-
-def _transfer_weight(rule: LocalRule, mu: ProductMeasure, syms: Sequence[int]) -> int:
-    """Sum of prod n[s] over the preimages of one word, n the integer weights of mu.
-
-    A vector over the q^r de Bruijn states (the table index of the last r
-    cells) holds the weight of the partial preimages ending in each; it
-    starts as mu's cylinder vector at length r, and reading an output a
-    extends each by every cell b whose neighborhood state*q + b maps to a.
-    """
-    q, states = rule.q, rule.q**rule.r
-    table = np.array(rule.table, dtype=np.uint8).reshape(states, q)
-    weights = np.array(mu.weights[1], dtype=object)
-    # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
-    hits = [np.where(table == a, weights, 0) for a in range(q)]
-    v = _cylinder_vector(mu, rule.r)[0]
-    for a in syms:
-        # row-major (state, b) is the neighborhood index; its last r cells,
-        # the next state, are the index modulo q^r
-        v = (v[:, None] * hits[a]).reshape(q, states).sum(axis=0)
-    return int(v.sum())
 
 
 def _check_alphabets(rule: LocalRule, mu: CylinderMeasure) -> None:
@@ -268,21 +279,13 @@ def pushforward(
     word: str,
     limit: int = DEFAULT_PUSHFORWARD_LIMIT,
 ) -> Fraction:
-    """Image-measure cylinder value: the measure of the word's preimage set.
-
-    A product measure runs a transfer matrix along the word.  Any other
-    measure pushes its vector over |word| + r cells (its table holds them).
-    """
+    """Image-measure cylinder value: the measure of the word's preimage set (`mu._image`)."""
     if len(word) < 1:
         raise ValueError("pushforward needs a nonempty word")
     _check_alphabets(rule, mu)
-    cells = len(word) + rule.r
-    check_size(limit, _PREIMAGES, rule.q, cells)
-    syms = word_symbols(word, rule.q)
-    if isinstance(mu, ProductMeasure):
-        return Fraction(_transfer_weight(rule, mu, syms), mu.weights[0] ** cells)
-    v, denominator = _cylinder_vector(mu, cells)
-    return Fraction(_push(rule, v)[int(word, rule.q)], denominator)
+    check_size(limit, _PREIMAGES, rule.q, len(word) + rule.r)
+    word_symbols(word, rule.q)
+    return mu._image(rule, word)
 
 
 def iterate_pushforward(
@@ -382,9 +385,9 @@ def check_uniform_contraction(
         raise ValueError("cylinder length must be >= 1")
     _check_vector(limit, _PREIMAGES, rule.q, n + rule.r)
     _check_alphabets(rule, mu)
-    v, denominator = _cylinder_vector(mu, n + rule.r)
+    v, denominator = mu.vector(n + rule.r)
     lhs, witness_u = _farthest(_push(rule, v), denominator, rule.q, n)
-    rhs, witness_w = _farthest(*_cylinder_vector(mu, n), rule.q, n)
+    rhs, witness_w = _farthest(*mu.vector(n), rule.q, n)
     return ContractionReport(lhs, rhs, lhs <= rhs, witness_u, witness_w)
 
 
@@ -405,8 +408,8 @@ def check_measure_invariance(
     _check_alphabets(rule, mu)
     for length in range(1, depth + 1):
         _check_vector(limit, _PREIMAGES, rule.q, length + rule.r)
-        v, denominator = _cylinder_vector(mu, length + rule.r)
-        base, base_denominator = _cylinder_vector(mu, length)
+        v, denominator = mu.vector(length + rule.r)
+        base, base_denominator = mu.vector(length)
         if np.any(_push(rule, v) * base_denominator != base * denominator):
             return False
     return True
@@ -421,7 +424,7 @@ class BlockEntropyReport:
 
 
 def _block_entropy_value(mu: CylinderMeasure, n: int) -> float:
-    v, denominator = _cylinder_vector(mu, n)
+    v, denominator = mu.vector(n)
     total = 0.0
     for x in v.tolist():
         if x:

@@ -589,11 +589,13 @@ class TestConstructionCommands:
             ["sweep", "--q", "2", "--r", "1", "--check", "conservation", "--max-period", "40"],
             "q^max_period = 2^40",
         ),
+        (["correlate", "2 1 0110", "--A", "1", "--m", "513"],
+         "correlation order 513 exceeds limit 512"),
         (["xor-limit", "--levels", "7", "--samples", "2", "--n-values", "1"], "7 levels"),
         (["xor-limit", "--levels", "2", "--samples", "2", "--word", "0000000",
           "--n-values", "0,1"], "word of length 7 exceeds sampler capacity 6"),
     ],
-    ids=["correlate", "conservation", "xor-limit", "xor-limit-capacity"],
+    ids=["correlate", "conservation", "correlate-m", "xor-limit", "xor-limit-capacity"],
 )
 def test_unbounded_scan_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"
@@ -809,8 +811,10 @@ def test_pushforward_trajectory_refused_before_output(argv, message, capsys, tmp
         (["--q", "37", "--r", "0"], "exceeds limit 67108864"),
         (["--q", "2", "--r", "14", "--check", "averages"],
          "q^(q^(r+1)) = 4294967296 exceeds limit 67108864"),
+        (["--q", "2", "--r", "2", "--check", "high_domination", "--m-max", "100000"],
+         "correlation order 100000 exceeds limit 512"),
     ],
-    ids=["index-space", "limit", "q1", "q0", "q37", "averages"],
+    ids=["index-space", "limit", "q1", "q0", "q37", "averages", "m-max"],
 )
 def test_sweep_rule_space_refused_before_enumeration(argv, message, capsys, tmp_path, monkeypatch):
     def no_enumeration(*args):

@@ -329,6 +329,18 @@ class TestNormalizedCorrelation:
                 assert h.normalized_orders(m) == expected
                 assert h.normalized(m) == expected[m]
 
+    def test_order_over_the_maximum_refused_before_any_moment(self, monkeypatch):
+        h = histogram(XOR, [1], [1])
+        correlation_module.check_order(correlation_module.MAX_ORDER)
+
+        def no_moment(self, m):
+            raise AssertionError("a moment was summed before the refusal")
+
+        monkeypatch.setattr(correlation_module.Histogram, "moment", no_moment)
+        for m in (513, 10**6):
+            with pytest.raises(ValueError, match=f"correlation order {m} exceeds limit 512"):
+                h.normalized_orders(m)
+
     @pytest.mark.parametrize(
         "descriptor, A, B",
         [
@@ -518,6 +530,12 @@ class TestHighDomination:
     def test_negative_order_bound_refused(self):
         with pytest.raises(ValueError, match="m_max must be >= 0"):
             check_high_domination(XOR, [1], m_max=-1)
+
+    def test_order_bound_over_the_maximum_refused(self):
+        assert correlation_module.MAX_ORDER == 512
+        assert check_high_domination(XOR, [1], m_max=512).m_star is not None
+        with pytest.raises(ValueError, match="correlation order 513 exceeds limit 512"):
+            check_high_domination(XOR, [1], m_max=513)
 
     def test_matches_the_moment_lists(self):
         # every rule at q=2 r<=2, the surjective ones at q=2 r=3 and q=3 r=1,

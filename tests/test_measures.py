@@ -130,6 +130,15 @@ class TestMeasureConstruction:
         with pytest.raises(ValueError):
             ExplicitMeasure(2, 2, bad)
 
+    def test_explicit_missing_value_is_named_before_any_sum(self):
+        # the length-1 sums would read "01" before its presence was checked
+        partial = {"": 1, "0": Fraction(1, 2), "1": Fraction(1, 2), "00": Fraction(1, 4)}
+        with pytest.raises(ValueError, match="missing cylinder value for '01'"):
+            ExplicitMeasure(2, 2, partial)
+        out_of_range = {**partial, "01": Fraction(1, 4), "10": Fraction(1, 4), "11": 2}
+        with pytest.raises(ValueError, match=r"cylinder value for '11' out of \[0, 1\]"):
+            ExplicitMeasure(2, 2, out_of_range)
+
     def test_make_measure_descriptors(self):
         assert make_measure("uniform", 2).cylinder("0") == Fraction(1, 2)
         assert make_measure("bernoulli:1/4").cylinder("1") == Fraction(1, 4)
@@ -167,6 +176,45 @@ class TestPushforward:
         mu = ExplicitMeasure(2, 1, table)
         with pytest.raises(ValueError):
             pushforward(XOR, mu, "1")
+
+
+class WrappedMeasure(measures.CylinderMeasure):
+    """A measure that defines only `cylinder`, and so takes every default path."""
+
+    def __init__(self, inner):
+        self.q = inner.q
+        self.inner = inner
+
+    def cylinder(self, word):
+        return self.inner.cylinder(word)
+
+
+class TestVector:
+    def test_vector_holds_every_cylinder_over_one_denominator(self):
+        for q in (2, 3):
+            for spec in KERNEL_MEASURES[q]:
+                mu = make_measure(spec, q)
+                for measure in (mu, explicit_twin(mu, 4), WrappedMeasure(mu)):
+                    for n in range(5):
+                        v, denominator = measure.vector(n)
+                        words = [symbols_word(u) for u in itertools.product(range(q), repeat=n)]
+                        assert len(v) == len(words), (spec, n)
+                        for x, u in zip(v, words):
+                            assert type(x) is int
+                            assert x == measure.cylinder(u) * denominator, (spec, u)
+
+    def test_cylinder_only_measure_gives_the_wrapped_results(self):
+        for rule, mu in kernel_cases(106, radii=(0, 1, 2)):
+            wrapped = WrappedMeasure(mu)
+            for u in words_up_to(rule.q, 3):
+                assert pushforward(rule, wrapped, u) == pushforward(rule, mu, u)
+            for n in (1, 2, 3):
+                assert check_uniform_contraction(rule, wrapped, n) == check_uniform_contraction(
+                    rule, mu, n
+                )
+                assert check_measure_invariance(rule, wrapped, n) == check_measure_invariance(
+                    rule, mu, n
+                )
 
 
 class TestKernelOracle:
@@ -437,7 +485,8 @@ class TestVectorBound:
         def refuse(mu, n):
             raise AssertionError(f"built a vector of length {n}")
 
-        monkeypatch.setattr(measures, "_cylinder_vector", refuse)
+        for cls in (measures.CylinderMeasure, measures.ProductMeasure):
+            monkeypatch.setattr(cls, "vector", refuse)
 
     def test_default_refuses_before_building(self, unbuilt):
         assert measures.MAX_VECTOR_CELLS == 1 << 23
