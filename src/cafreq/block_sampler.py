@@ -12,9 +12,15 @@ The alternation phase is fixed: sibling j of the expanded block receives
 the filled content when j is even, the negation when j is odd, the filled
 block itself being child 0.
 
-A block is one packed integer.  Its draws come from the sample's stream in
-numpy chunks (`rng.ChunkedDraws`), its coins compare integers (`rng.Coin`),
-and a copy is one product with a repunit: `first * sum_k 2^(k * child_len)`.
+A block is one packed integer, read from the sample's stream by index
+(`rng.ChunkedDraws`): the generator walks every coin of the whole block in
+the order of one `next64` call per draw, and returns the index it stopped
+at.  A level that copies with probability 0 at and below itself is a run of
+leaf draws, one slice of the stream's top bits.  A coin whose denominator
+fits one word compares each draw with its precomputed rejection limit
+inline, as `rng.Uniform` does; a wider one reads its words through
+`rng.Coin`.  A copy doubles: `first`, or the pair of `first` and its
+negation, shifted onto itself until it fills the block.
 
 The two-neighbor XOR map iterated 2^k times reduces to a single lag-2^k
 cellwise XOR; xor_power implements that shortcut and xor_iterate composes
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
 from .rules import size_text
@@ -63,6 +69,21 @@ def default_copy_probs(levels: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, n + 1) for n in range(levels))
 
 
+#: a coin of the plan: p in {0, 1} as a bool (no draw), a denominator of at
+#: most 2^64 as Uniform's (limit, n) and p's numerator, otherwise an rng.Coin
+_CoinPlan = Union[bool, tuple[int, int, int], Coin]
+
+
+def _coin_plan(p: Fraction) -> _CoinPlan:
+    coin = Coin(p)
+    uniform = coin.uniform
+    if uniform is None:
+        return coin.num > 0
+    if uniform.words == 1:
+        return (uniform.limit, uniform.n, coin.num)
+    return coin
+
+
 #: every sample builds a whole top block, 2^21 bits at 6 levels (2^28 at 7)
 MAX_LEVELS = 6
 
@@ -76,17 +97,17 @@ def check_levels(levels: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Level:
     """How to expand level n-1 blocks into a level n block, in integers."""
 
+    length: int  # block_length(n)
     child_len: int
-    children: int
     child_mask: int  # child_len ones: negates a child
-    plain: int  # sum over the children of 2^(k * child_len)
-    odd: int  # the same sum over the odd children only
-    copy: Coin
-    alpha: Coin
+    run: bool  # copy probability 0 at levels 1..n: `length` leaf draws in a row
+    child_run: bool  # level n-1 is a run, or the single leaf of level 0
+    copy: _CoinPlan
+    alpha: _CoinPlan
 
 
 @dataclass(frozen=True)
@@ -122,50 +143,113 @@ class BlockMeasureParams:
     @cached_property
     def _plan(self) -> tuple[Optional[_Level], ...]:
         check_levels(self.levels)
-        alpha = Coin(self.alpha)
+        alpha = _coin_plan(self.alpha)
         plan: list[Optional[_Level]] = [None]
+        run = True  # level 0, a single leaf draw
         for n in range(1, self.levels + 1):
-            child_len, children = block_length(n - 1), 1 << n
-            # child j (0 = leftmost) sits at bit k * child_len, k = children-1-j
-            units = [1 << (k * child_len) for k in range(children)]
+            child_len, child_run = block_length(n - 1), run
+            run = child_run and self.copy_probs[n - 1] == 0
             plan.append(
                 _Level(
+                    length=block_length(n),
                     child_len=child_len,
-                    children=children,
                     child_mask=(1 << child_len) - 1,
-                    plain=sum(units),
-                    odd=sum(units[children - 1 - j] for j in range(1, children, 2)),
-                    copy=Coin(self.copy_probs[n - 1]),
+                    run=run,
+                    child_run=child_run,
+                    copy=_coin_plan(self.copy_probs[n - 1]),
                     alpha=alpha,
                 )
             )
         return tuple(plan)
 
 
-def _generate_block(plan: tuple, level: int, take: Callable[[], int]) -> int:
-    """Sample one level block as a packed integer, leftmost cell highest bit.
+def _leaves(source: ChunkedDraws, i: int, n: int) -> tuple[int, int]:
+    """The top bits of draws i..i+n-1 as one integer, and the next index."""
+    end = i + n
+    while len(source.tops) < end:
+        source.extend()
+    return int(source.tops[i:end], 2), end
 
-    `take` returns the stream's next 64-bit draw; a leaf cell is its top bit.
+
+def _flip(coin: _CoinPlan, source: ChunkedDraws, i: int) -> tuple[bool, int]:
+    """A coin that one word does not decide, read from draw i on.
+
+    Returns its outcome and the next index.  p in {0, 1} draws nothing; a
+    denominator past 2^64 reads each candidate's words through `Coin.flip`.
+    """
+    if coin.__class__ is bool:
+        return coin, i
+
+    def next64() -> int:
+        nonlocal i
+        if i == len(source.words):
+            source.extend()
+        i += 1
+        return source.words[i - 1]
+
+    return coin.flip(next64), i
+
+
+def _generate_block(plan: tuple, level: int, source: ChunkedDraws, i: int) -> tuple[int, int]:
+    """Sample one level block from draw i on: the block and the next index.
+
+    The block is a packed integer, leftmost cell highest bit; a leaf cell is
+    the top bit of its draw.  Draws are read in the order of the scalar
+    recursion: the first child, the copy coin, then the alpha coin or the
+    other children.  A one-word coin is `Uniform.draw` written inline.
     """
     step = plan[level]
-    if level == 1:
-        first = take() >> 63
+    if step.run:
+        return _leaves(source, i, step.length)
+    if step.child_run:
+        first, i = _leaves(source, i, step.child_len)
     else:
-        first = _generate_block(plan, level - 1, take)
-    if step.copy.flip(take):
-        if step.alpha.flip(take):
-            return first * step.plain
-        odd = step.odd
-        return (first ^ step.child_mask) * odd + first * (step.plain - odd)
+        first, i = _generate_block(plan, level - 1, source, i)
+    words = source.words  # extended in place
+    coin = step.copy
+    if coin.__class__ is tuple:
+        limit, n, num = coin
+        while True:
+            if i == len(words):
+                source.extend()
+            r = words[i]
+            i += 1
+            if r < limit:  # a draw at or past limit is skipped
+                break
+        copied = r % n < num
+    else:
+        copied, i = _flip(coin, source, i)
+    if copied:
+        coin = step.alpha
+        if coin.__class__ is tuple:
+            limit, n, num = coin
+            while True:
+                if i == len(words):
+                    source.extend()
+                r = words[i]
+                i += 1
+                if r < limit:
+                    break
+            plain = r % n < num
+        else:
+            plain, i = _flip(coin, source, i)
+        if plain:
+            out, width = first, step.child_len
+        else:
+            out, width = first << step.child_len | first ^ step.child_mask, 2 * step.child_len
+        while width < step.length:
+            out = out << width | out
+            width <<= 1
+        return out, i
+    if step.child_run:
+        rest, end = _leaves(source, i, step.length - step.child_len)
+        return first << (end - i) | rest, end
     out = first
     shift = step.child_len
-    if level == 1:
-        for _ in range(step.children - 1):
-            out = out << shift | take() >> 63
-    else:
-        for _ in range(step.children - 1):
-            out = out << shift | _generate_block(plan, level - 1, take)
-    return out
+    for _ in range(step.length // shift - 1):
+        child, i = _generate_block(plan, level - 1, source, i)
+        out = out << shift | child
+    return out, i
 
 
 @dataclass(frozen=True)
@@ -209,8 +293,8 @@ def sample_hierarchical(
     while offset + length > cap:
         offset, rejections = rng.below(cap), rejections + 1
     source = ChunkedDraws(rng)
-    block = _generate_block(plan, params.levels, source.take)
-    source.close()
+    block, used = _generate_block(plan, params.levels, source, 0)
+    source.close(used)
     shift = cap - offset - length
     bits = (block >> shift) & ((1 << length) - 1)
     offsets = tuple(offset % block_length(n) for n in range(params.levels + 1))

@@ -372,6 +372,11 @@ def _cmd_xor_limit(args) -> int:
         n_values = [int(x) for x in args.n_values.split(",")]
     else:
         n_values = list(range(1, args.levels))
+    if not n_values:
+        raise ValueError(
+            f"no n-values to estimate: the default 1..{args.levels - 1} is empty "
+            f"for --levels {args.levels}"
+        )
     for n in n_values:  # before any 2^triangular(n) step count is built
         if not 0 <= n < args.levels:
             raise ValueError(

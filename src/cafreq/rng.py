@@ -144,52 +144,57 @@ def map_ranges(fn: Callable, count: int, jobs: int, *args) -> list:
         return list(pool.map(fn, *columns, bounds[:-1], bounds[1:]))
 
 
+_GOLDEN_U64, _MUL1_U64, _MUL2_U64 = np.uint64(GOLDEN), np.uint64(_MUL1), np.uint64(_MUL2)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+
+
 def draws(state: int, count: int) -> np.ndarray:
     """Draws 1..count of the stream at `state`, hashed at once as uint64.
 
     Entry k-1 is mix64(state + k * GOLDEN), the k-th `next64` from a
     stream whose state is `state`; the caller advances the stream.
     """
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(state & MASK64) + idx * np.uint64(GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64  # array arithmetic wraps modulo 2^64 without a warning
+    z += np.uint64(state & MASK64)
+    z ^= z >> _SHIFTS[0]
+    z *= _MUL1_U64
+    z ^= z >> _SHIFTS[1]
+    z *= _MUL2_U64
+    z ^= z >> _SHIFTS[2]
+    return z
 
 
 class ChunkedDraws:
-    """The draws of a stream, hashed CHUNK at a time with `draws`.
+    """The draws of a stream, hashed ahead with `draws` and read by index.
 
-    `take` returns the stream's next draw, like `next64`, but leaves the
-    stream alone until `close`, which advances it past the draws taken:
-    a run of `take` then `close` consumes the same draws in the same order
-    as that many `next64` calls, and leaves the same state.
+    `words[k]` is the stream's (k+1)-th `next64` draw and `tops[k]` its top
+    bit as '0' or '1', so the top bits of a run of draws are one slice of
+    `tops`.  The first FIRST draws are hashed at once; each `extend` hashes
+    as many more as are held, and `words` grows in place.  The stream is
+    left alone until `close(used)`, which advances it past the first `used`
+    draws: reading draws 0..used-1 and closing consumes the same draws in
+    the same order as `used` calls of `next64`, and leaves the same state.
     """
 
-    CHUNK = 1024
+    FIRST = 64
 
-    __slots__ = ("rng", "hashed", "queue")
+    __slots__ = ("rng", "words", "tops")
 
     def __init__(self, rng: SplitMix64):
         self.rng = rng
-        self.hashed = 0
-        self.queue: list[int] = []  # hashed draws not yet taken, next one last
+        self.words: list[int] = []
+        self.tops = ""
+        self.extend()
 
-    def take(self) -> int:
-        try:
-            return self.queue.pop()
-        except IndexError:
-            chunk = draws(self.rng.state + self.hashed * GOLDEN, self.CHUNK)
-            self.hashed += self.CHUNK
-            self.queue = chunk[::-1].tolist()
-            return self.queue.pop()
+    def extend(self) -> None:
+        held = len(self.words)
+        z = draws(self.rng.state + held * GOLDEN, held or self.FIRST)
+        self.words += z.tolist()
+        self.tops += ((z >> np.uint64(63)).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
-    def close(self) -> None:
-        taken = self.hashed - len(self.queue)
-        self.rng.state = (self.rng.state + taken * GOLDEN) & MASK64
-        self.hashed = 0
-        self.queue = []
+    def close(self, used: int) -> None:
+        self.rng.state = (self.rng.state + used * GOLDEN) & MASK64
 
 
 def bernoulli_word(rng: SplitMix64, length: int, p: Fraction) -> str:

@@ -17,7 +17,7 @@ from cafreq.block_sampler import (
     xor_iterate,
     xor_power,
 )
-from cafreq.rng import ChunkedDraws, SplitMix64
+from cafreq.rng import ChunkedDraws, SplitMix64, Uniform
 from cafreq.rules import iterate_word, parse_rule
 
 XOR = parse_rule("2 1 0110")
@@ -339,6 +339,17 @@ class TestEstimation:
 
 
 class TestAgainstScalarOracle:
+    @staticmethod
+    def check_block(params, seed, i):
+        """Generate stream (seed, i)'s top block; check it against the oracle."""
+        rng, oracle = SplitMix64.for_index(seed, i), SplitMix64.for_index(seed, i)
+        source = ChunkedDraws(rng)
+        block, used = block_sampler._generate_block(params._plan, params.levels, source, 0)
+        source.close(used)
+        assert block == oracle_block(params, params.levels, oracle)
+        assert rng.state == oracle.state
+        return source, used
+
     @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
     @pytest.mark.parametrize("alpha", ALPHAS, ids=["0", "1/3", "1/2", "1", "1/(2^64+1)"])
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
@@ -346,23 +357,48 @@ class TestAgainstScalarOracle:
         probs = (Fraction(2, 3), Fraction(0), Fraction(1), Fraction(2, 3), Fraction(1, 2))
         params = BlockMeasureParams(levels, alpha, probs[:levels] if custom else None)
         for i in range(12 if levels == 5 else 25):
-            rng, oracle = SplitMix64.for_index(41, i), SplitMix64.for_index(41, i)
-            source = ChunkedDraws(rng)
-            block = block_sampler._generate_block(params._plan, levels, source.take)
-            source.close()
-            assert block == oracle_block(params, levels, oracle)
-            assert rng.state == oracle.state
+            self.check_block(params, 41, i)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 2**64 + 1)], ids=["1/3", "big"])
     def test_level_six_blocks(self, alpha):
         params = BlockMeasureParams(6, alpha)
         for i in range(2):
-            rng, oracle = SplitMix64.for_index(66, i), SplitMix64.for_index(66, i)
-            source = ChunkedDraws(rng)
-            block = block_sampler._generate_block(params._plan, 6, source.take)
-            source.close()
-            assert block == oracle_block(params, 6, oracle)
-            assert rng.state == oracle.state
+            self.check_block(params, 66, i)
+
+    @pytest.mark.parametrize("levels, seed, i", [(5, 41, 1), (5, 41, 11), (6, 66, 12)])
+    def test_resampled_top_walks_across_several_extensions(self, levels, seed, i):
+        params = BlockMeasureParams(levels, Fraction(1, 3))
+        walk = SplitMix64.for_index(seed, i)
+        oracle_block(params, levels - 1, walk)  # the first child, then the top coin
+        assert not oracle_bernoulli(walk, params.copy_probs[-1])
+        source, _ = self.check_block(params, seed, i)
+        assert len(source.words) >= 8 * ChunkedDraws.FIRST  # three extensions or more
+
+    def test_last_draw_is_the_last_hashed(self):
+        # a 3-level block of runs reads exactly the first 64 draws, one slice
+        runs = BlockMeasureParams(3, copy_probs=(Fraction(0),) * 3)
+        source, used = self.check_block(runs, 5, 0)
+        assert used == len(source.words) == ChunkedDraws.FIRST
+        # a walk of coins and runs that ends on draw 4096, hashed by the sixth extension
+        source, used = self.check_block(BlockMeasureParams(5, Fraction(1, 2)), 41, 251)
+        assert used == len(source.words) == 4096
+
+    @pytest.mark.parametrize("levels, i", [(3, 200), (5, 5)])
+    def test_wide_alpha_across_a_chunk_boundary(self, levels, i, monkeypatch):
+        # alpha 1/(2^64+1) reads two words per candidate through rng.Coin
+        straddles = []
+        flip = block_sampler._flip
+
+        def recording_flip(coin, source, at):
+            held = len(source.words)
+            heads, after = flip(coin, source, at)
+            if at < held < after:
+                straddles.append(held)
+            return heads, after
+
+        monkeypatch.setattr(block_sampler, "_flip", recording_flip)
+        self.check_block(BlockMeasureParams(levels, Fraction(1, 2**64 + 1)), 41, i)
+        assert straddles  # a coin's words came from both sides of an extension
 
     @pytest.mark.parametrize("alpha", ALPHAS, ids=["0", "1/3", "1/2", "1", "1/(2^64+1)"])
     def test_samples_and_states(self, alpha):
@@ -373,14 +409,42 @@ class TestAgainstScalarOracle:
             assert sample_hierarchical(params, length, rng) == oracle_sample(params, length, oracle)
             assert rng.state == oracle.state
 
+    @pytest.mark.parametrize("x, heads", [(3, True), (2, False)], ids=["heads", "tails"])
+    @pytest.mark.parametrize("coin", ["copy", "alpha"])
+    def test_inline_coin_skips_a_rejected_draw(self, coin, x, heads):
+        # a 2/3 coin rejects a draw at or past Uniform(3).limit = 2^64 - 1, a
+        # chance of 2^-64 that no seeded stream reaches: the words are set by hand
+        p = Fraction(2, 3)
+        if coin == "copy":  # alpha 1: heads copies plainly, tails resamples
+            params = BlockMeasureParams(1, copy_probs=(p,))
+        else:  # always copy: heads plainly, tails alternating
+            params = BlockMeasureParams(1, alpha=p, copy_probs=(Fraction(1),))
+        assert getattr(params._plan[1], coin) == (2**64 - 1, 3, 2)
+        words = [1 << 63, 2**64 - 1, x, 0]  # leaf 1, the rejected draw, x, leaf 0
+        source = ChunkedDraws(SplitMix64(0))
+        source.words, source.tops = list(words), "1100"
+        # Uniform.draw skips the first word and decides on x: two draws
+        reader = iter(words[1:])
+        assert (Uniform(3).draw(reader.__next__) < 2) is heads
+        assert list(reader) == [0]
+        block, used = block_sampler._generate_block(params._plan, 1, source, 0)
+        if heads:
+            assert (block, used) == (0b11, 3)
+        elif coin == "copy":
+            assert (block, used) == (0b10, 4)  # the resampled leaf is the last word
+        else:
+            assert (block, used) == (0b10, 3)  # the negated copy
+
     def test_samples_leave_no_reference_cycles(self):
         # a cycle would keep each sample's draw buffer alive until a collection
         params = BlockMeasureParams(4)
+        wide = BlockMeasureParams(4, Fraction(1, 2**64 + 1))  # its coins read through a closure
         gc.collect()
         gc.disable()
         try:
             for i in range(20):
                 sample_hierarchical(params, 10, SplitMix64.for_index(1, i))
+                sample_hierarchical(wide, 10, SplitMix64.for_index(1, i))
             assert gc.collect() == 0
         finally:
             gc.enable()

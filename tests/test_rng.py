@@ -143,20 +143,30 @@ class TestChunkedDraws:
         rng = SplitMix64(2024)
         assert draws(2024, 40).tolist() == [rng.next64() for _ in range(40)]
 
-    @pytest.mark.parametrize(
-        "count", [0, 1, ChunkedDraws.CHUNK - 1, ChunkedDraws.CHUNK, ChunkedDraws.CHUNK + 1]
-    )
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1023, 1024, 1025])
     @pytest.mark.parametrize("seed", [5, MASK64 - 3 * GOLDEN // 2, MASK64])
     def test_take_then_close_equals_next64(self, count, seed):
-        # the two larger seeds wrap around 2^64 within the first few draws
+        # `count` draws taken by index, then closed; the two larger seeds
+        # wrap around 2^64 within the first few draws
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         source = ChunkedDraws(rng)
-        taken = [source.take() for _ in range(count)]
+        held = [len(source.words)]
+        while len(source.words) < count:
+            source.extend()
+            held.append(len(source.words))
+        # 64 draws first, then each extension doubles what is held
+        assert held == [64 << k for k in range(len(held))]
+        assert len(source.tops) == held[-1]
+        expected = [oracle.next64() for _ in range(held[-1])]
+        assert source.words == expected
+        assert source.tops == "".join(str(w >> 63) for w in expected)
         assert rng.state == seed & MASK64  # untouched until close
-        source.close()
-        assert taken == [oracle.next64() for _ in range(count)]
+        source.close(count)
+        oracle = SplitMix64(seed)
+        for _ in range(count):
+            oracle.next64()
         assert rng.state == oracle.state
-        # the stream goes on from where the taken draws end
+        # the stream goes on from where the used draws end
         assert rng.next64() == oracle.next64()
 
 
