@@ -297,7 +297,8 @@ def sample_hierarchical(
     source.close(used)
     shift = cap - offset - length
     bits = (block >> shift) & ((1 << length) - 1)
-    offsets = tuple(offset % block_length(n) for n in range(params.levels + 1))
+    # level 0 blocks are single cells, so their offset is always 0
+    offsets = (0, *(offset % step.length for step in plan[1:]))
     return HierarchicalSample(bits=bits, length=length, offsets=offsets, rejections=rejections)
 
 

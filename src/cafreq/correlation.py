@@ -234,16 +234,6 @@ def _identity_counts(q: int, r: int, a: int) -> tuple[int, ...]:
     return (0, *(a * comb(r, j) * a**j * (q - a) ** (r - j) for j in range(r + 1)))
 
 
-def _moments(counts: Sequence[int], m_max: int) -> list[int]:
-    """sum_k counts[k] * k^m for m = 0..m_max (0^0 = 1), by repeated products."""
-    out = []
-    terms = list(counts)
-    for _ in range(m_max + 1):
-        out.append(sum(terms))
-        terms = [k * t for k, t in enumerate(terms)]
-    return out
-
-
 def weighted_square_sum(n: int, a) -> Fraction:
     """sum_k k^2 a^k comb(n, k) = n a (n a + 1) (a + 1)^(n-2) for n >= 2."""
     if n < 0:
@@ -323,15 +313,14 @@ def check_high_domination(
     """Find the order from which the identity dominates all higher moments.
 
     k0 is the largest index where the rule's histogram differs from the
-    identity's (None if equal).  m_star is the least m <= m_max such that
-    the moment inequality holds for every order in [m, m_max] and the tail
-    criterion
+    identity's (None if equal), d_k = N_id[k] - N_rule[k].  m_star is the
+    least m <= m_max at which the tail criterion
 
-        (N_id[k0] - N_rule[k0]) * k0^m > sum_{i<k0} |N_id[i] - N_rule[i]| * i^m
+        lead(m) = d_k0 * k0^m > sum_{i<k0} |d_i| * i^m = tail(m)
 
-    holds at m; the criterion propagates to every larger order because the
-    k0 term grows at least as fast as each lower-index term.  The moment
-    inequality at order m is sum_k (N_id[k] - N_rule[k]) * k^m >= 0.
+    holds (None if none does).  From m_star on, every moment inequality
+    sum_k d_k * k^m >= 0 holds: sum_k d_k * k^m >= lead(m) - tail(m) > 0,
+    and lead(m+1) = k0 * lead(m) > k0 * tail(m) >= tail(m+1).
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -347,10 +336,8 @@ def check_high_domination(
     if k0 is None:
         return HighDominationReport(k0=None, strict_at_k0=None, m_star=0)
     strict = diffs[k0] > 0
-    # the moment inequality holds at every order from `first` on
-    first = max((m + 1 for m, gap in enumerate(_moments(diffs, m_max)) if gap < 0), default=0)
     m_star = None
-    for m in range(first, m_max + 1):
+    for m in range(m_max + 1):
         lead = diffs[k0] * k0**m
         tail = sum(abs(diffs[i]) * i**m for i in range(k0))
         if lead > tail:

@@ -97,7 +97,11 @@ class SwapParams:
 
     @cached_property
     def short_bound(self) -> int:
-        """Intervals of length below ceil(2n/p) are short."""
+        """Intervals of length below ceil(2n/p) are short.
+
+        As p < 1, the bound is at least 2n + 1, the marker's length, so every
+        medium interval holds its opening marker whole.
+        """
         return math.ceil(Fraction(2 * self.n) / self.p)
 
     @cached_property
@@ -638,8 +642,7 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
     Refuses, before building it, a count table of more than
     MAX_SWAP_TABLE_CELLS cells (see `_engine`).
     """
-    mlen = len(params.marker)
-    lo_l = max(params.short_bound - mlen, 0)
+    lo_l = params.short_bound - len(params.marker)
     hi_l = params.max_free_length
     if lo_l > hi_l:
         return SwapParamsReport(
@@ -705,7 +708,7 @@ def _apply_swap_details(
     for a, b in zip(occ, occ[1:]):
         complete += 1
         k = b - a
-        if classify_interval(k, params) != "medium" or k < mlen:
+        if classify_interval(k, params) != "medium":
             continue
         medium += 1
         l = k - mlen
@@ -713,10 +716,8 @@ def _apply_swap_details(
         lo, hi = weight_bounds(l, params.p)
         bits = _dense_code_bits(v)
         if bits is not None:
-            try:
-                idx = _rank_safe_code_bits(params.n, bits, l % 4)
-            except ValueError:
-                continue  # code word containing the marker cannot occur here
+            # the free part holds no marker, so neither does its code word
+            idx = _rank_safe_code_bits(params.n, bits, l % 4)
             if idx >= engine.count(l, lo, hi):
                 continue
             part = engine.unrank(l, idx, lo, hi)
@@ -784,15 +785,7 @@ def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTr
     window = bernoulli_word(rng, length, params.p)
     once, stats, occ = _apply_swap_details(window, params)
     twice, _, occ_once = _apply_swap_details(once, params)
-    conserved = occ == occ_once
-    quad_free = True
-    max_run = 0
-    for s, e in stats.dense_spans:
-        piece = once[s:e]
-        run = _max_run(piece)
-        max_run = max(max_run, run)
-        if run >= 4:
-            quad_free = False
+    max_run = max((_max_run(once[s:e]) for s, e in stats.dense_spans), default=0)
     return SwapTrial(
         index=index,
         occurrences=stats.occurrences,
@@ -801,8 +794,8 @@ def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTr
         to_dense=stats.to_dense,
         to_sparse=stats.to_sparse,
         involution_ok=twice == window,
-        occurrences_conserved=conserved,
-        quad_free=quad_free,
+        occurrences_conserved=occ == occ_once,
+        quad_free=max_run < 4,
         max_dense_run=max_run,
     )
 

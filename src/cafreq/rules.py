@@ -27,7 +27,8 @@ MAX_ALPHABET = len(DIGITS)
 #: refuse to enumerate rule spaces larger than this (tables, not rules tested)
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
 
-#: refuse rule spaces of this many tables or more: indices are decoded in int64
+#: refuse rule spaces of this many tables or more, even under a raised
+#: limit: no enumeration of 2^63 tables can finish
 MAX_RULE_TABLES = 1 << 63
 
 #: the surjective-rule enumeration streams blocks of table indices; every
@@ -401,7 +402,7 @@ def check_rule_space(q: int, r: int, limit: int) -> int:
     Refuses a negative radius, a space of more than `limit` tables (checked
     before the alphabet bound, so a large q reads as an oversize space), an
     alphabet size outside [2, MAX_ALPHABET], and a space of 2^63 or more
-    tables, whose indices int64 cannot hold.
+    tables whatever the limit, as no enumeration of that many can finish.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")

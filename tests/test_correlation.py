@@ -192,20 +192,6 @@ class TestHistogram:
                     expected = histogram(LocalRule.identity(q), A, A, r_eff=r).counts
                     assert correlation_module._identity_counts(q, r, len(A)) == expected
 
-    def test_moment_list_matches_each_moment(self):
-        rng = SplitMix64(15)
-        with_zero_cell = 0
-        for q, r in ((2, 3), (3, 2), (4, 1)):
-            for _ in range(20):
-                rule = random_rule(q, r, rng)
-                A = proper_subsets(q)[rng.below(2**q - 2)]
-                h = histogram(rule, A, A)
-                with_zero_cell += h.counts[0] > 0
-                moments = correlation_module._moments(h.counts, 20)
-                assert moments == [h.moment(m) for m in range(21)]
-        assert with_zero_cell > 0  # 0^0 = 1 is exercised
-        assert correlation_module._moments((5, -3, 2), 2) == [4, 1, 5]
-
     def test_negative_moment_refused(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             histogram(XOR, [1], [1]).moment(-1)

@@ -43,6 +43,15 @@ class TestParams:
         assert CANON.medium_bound == 5323
         assert CANON.max_free_length == 5318
 
+    def test_medium_intervals_hold_the_marker(self):
+        # as 0 < p < 1, ceil(2n/p) >= 2n + 1: no medium interval is shorter
+        # than its opening marker, so its free part has length >= 0
+        for n in range(1, 9):
+            for p in (Fraction(1, 1000), Fraction(1, 50), Fraction(1, 3),
+                      Fraction(1, 2), Fraction(2, 3), Fraction(999, 1000)):
+                params = SwapParams(n, p)
+                assert params.short_bound >= len(params.marker) == 2 * n + 1
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             SwapParams(0, Fraction(1, 2))
