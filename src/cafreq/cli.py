@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import operator
 import os
 import sys
 from collections import Counter
@@ -334,6 +335,8 @@ def _cmd_fn_apply(args) -> int:
         window_length=args.window_length,
         jobs=args.jobs,
     )
+    # the fields in field order, as a shallow tuple: astuple deep-copies each
+    row = operator.attrgetter(*(f.name for f in dataclasses.fields(interval_swap.SwapTrial)))
     _write_csv(
         args.out,
         [  # one column per SwapTrial field, in field order
@@ -348,7 +351,7 @@ def _cmd_fn_apply(args) -> int:
             "quad_free",
             "max_dense_run",
         ],
-        [dataclasses.astuple(t) for t in trials],
+        map(row, trials),
     )
     bad = sum(
         not (t.involution_ok and t.occurrences_conserved and t.quad_free)

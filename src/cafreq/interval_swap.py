@@ -26,9 +26,13 @@ so a count from any state is a few signed reads of the columns of
 1/denominator, and from the start state, for the marker, one read.  Along
 a run of zeros the automaton soon reaches a state that a 0 leaves
 unchanged; from there unrank finds the whole run by bisecting a column in
-C.  The marker-free code words need no table: they are the code words
-whose code bits are free bits followed by a fixed suffix, so a safe rank
-is the free bits read as a binary number.
+C.  Each state's zero chain, the zeros that lead it to such a state,
+lets unrank test the zeros after a 1 with one count from that state,
+two column reads, instead of deciding them one at a time.  The
+marker-free code words need no table: they are the code words whose code
+bits are free bits followed by a fixed suffix, so a safe rank is the free
+bits read as a binary number, and a code word is those bits spelled as
+one hexadecimal number, block 110b being the digit c + b.
 """
 
 from __future__ import annotations
@@ -228,6 +232,8 @@ class _MarkerEngine:
     terms of N_s, each read 0 off the table.  For a pattern without proper
     borders, such as every marker (10)^n 0, c = 1, so N_0 = 1 and state 0
     reads one column.  Columns grow lazily, and built cells never change.
+    `chains[s]` is the zero chain of state s (see `_zero_chain`), which
+    unrank follows after every 1.
     """
 
     def __init__(self, pattern: str, max_weight: int):
@@ -244,8 +250,26 @@ class _MarkerEngine:
         # G(j, t) = G(j - 1, t) + the rest, one running sum down a column
         self.recurrence = [(k, w, -coef) for k, w, coef in den if w]
         self.running = (1, 0, -1) in den
+        self.chains = [self._zero_chain(s) for s in range(self.states)]
         self.cols: list[list[int]] = [[] for _ in range(max_weight + 1)]
         self.length = -1  # the longest length built
+
+    def _zero_chain(self, s: int) -> Optional[tuple[int, int]]:
+        """(d, z) when d >= 0 zeros take state s to a state z that a 0 keeps
+        and whose numerator is 1, passing no pattern occurrence; else None.
+
+        The walk ends: after m zeros the state is the longest run of zeros
+        that the pattern begins with, which a 0 keeps, or the pattern 0^m
+        has occurred.
+        """
+        delta = self.delta
+        d = 0
+        while s < self.states and delta[s][0] != s:
+            s = delta[s][0]
+            d += 1
+        if s < self.states and self.numerators[s] is _UNIT:
+            return d, s
+        return None
 
     def ensure(self, length: int) -> None:
         start, stop = self.length + 1, length + 1
@@ -365,26 +389,45 @@ class _MarkerEngine:
         cols[b].  Otherwise it is cols[b][k] - cols[a - 1][k], which lies
         between cols[b][k] - cols[a - 1][j] and cols[b][k]: two bisections
         of cols[b] bound k, and an exact bisection between the bounds,
-        usually over no cell at all, finds it.  At every other state the
-        word is decoded one cell at a time.
+        usually over no cell at all, finds it.
+
+        A state s with the zero chain (d, z) reaches such a state z after d
+        zeros (d = 0 at z itself).  The words that begin with 0^d come
+        first, and the cells after those zeros, read from z, count them in
+        two column reads: when the index falls below that count, the d
+        zeros and the run after them are found at once.  Otherwise, and at
+        a state without a chain, one cell is decoded.  For the marker
+        (10)^n 0 the states after a 1 have chains of one and two zeros, so
+        a 1 usually costs one count and the bisections.
         """
         total = self.count(length, lo, hi)
         if not 0 <= index < total:
             raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
         m = self.states
         delta = self.delta
+        chains = self.chains
         cols = self.cols
         cap = self.max_weight
         count_range = self.count_range
-        numerators = self.numerators
         out = []
         s = 0
         w = 0
         left = length  # cells still to place
         while left:
-            j = left - 1  # cells after the next one
-            s0, s1 = delta[s]
-            if s0 != s or numerators[s] is not _UNIT:
+            chain = chains[s]
+            if chain is not None:
+                d, z = chain
+                run = left - d  # cells after the chain's zeros, read from z
+                # with a..b ones still to place, c(k) = high[k] - low[k], or
+                # high[k] when a <= 0; c(run) counts the words after 0^d
+                high = cols[min(hi - w, cap)]
+                a = lo - w
+                low = cols[a - 1] if a > 0 else None
+                if run < 0 or d and index >= high[run] - (low[run] if a > 0 else 0):
+                    chain = None
+            if chain is None:  # decode one cell
+                j = left - 1
+                s0, s1 = delta[s]
                 c0 = count_range(j, s0, lo - w, hi - w) if s0 < m else 0
                 if index < c0:
                     out.append("0")
@@ -396,15 +439,13 @@ class _MarkerEngine:
                     s = s1
                 left = j
                 continue
+            j = run - 1  # cells after the next one
             # c(k) <= high[k]: c(k) <= index below the first high[k] > index
-            high = cols[min(hi - w, cap)]
-            k = bisect.bisect_right(high, index, 0, left) - 1
-            a = lo - w
+            k = bisect.bisect_right(high, index, 0, run) - 1
             if a > 0:
                 # c(k) >= high[k] - low[j]: c(k) > index from the first
                 # high[k] > index + low[j] on
-                low = cols[a - 1]
-                top = bisect.bisect_right(high, index + low[j], k + 1, left)
+                top = bisect.bisect_right(high, index + low[j], k + 1, run)
                 if top > k + 1:
                     k = bisect.bisect_right(
                         range(top), index, k + 1, top, key=lambda i: high[i] - low[i]
@@ -412,13 +453,13 @@ class _MarkerEngine:
                 ck = high[k] - low[k] if k >= 0 else 0
             else:
                 ck = high[k] if k >= 0 else 0
-            out.append("0" * (j - k))
+            out.append("0" * (left - 1 - k))  # the chain's zeros and the run's
             if k < 0:
                 break
             index -= ck
             out.append("1")
             w += 1
-            s = s1
+            s = delta[z][1]
             left = k
         assert index == 0 and lo <= w <= hi
         return "".join(out)
@@ -547,8 +588,8 @@ def rank_dense_safe(params: SwapParams, word: str) -> int:
     return _rank_safe_code_bits(params.n, bits, len(word) % 4)
 
 
-#: code bit -> its block 110b, for str.translate
-_CODE_BLOCKS = {ord("0"): "1100", ord("1"): "1101"}
+#: code bit -> the hex digit of its block 110b
+_HEX_BLOCKS = str.maketrans("01", "cd")
 
 
 def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
@@ -556,9 +597,13 @@ def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
     if not 0 <= index < total:
         raise ValueError(f"index {size_text(index)} out of range [0, {size_text(total)})")
     free, suffix = _safe_code_shape(params.n, length)
-    # the code bits are the index in `free` binary digits, then the suffix
+    # the code bits are the index in `free` binary digits, then the suffix;
+    # block 110b is the hex digit c + b, so one hex number spells the blocks
     bits = (format(index, f"0{free}b") if free else "") + suffix
-    return bits.translate(_CODE_BLOCKS) + "0" * (length % 4)
+    if not bits:  # no whole block
+        return "0" * length
+    code = format(int(bits.translate(_HEX_BLOCKS), 16), f"0{4 * len(bits)}b")
+    return code + "0" * (length % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +794,7 @@ def apply_swap(window: str, params: SwapParams) -> str:
     has the window's length.  The parameters are checked once (cached) and
     rejected if the map would not be a well-defined involution.
     """
-    if any(c not in "01" for c in window):
+    if window.strip("01"):  # a character other than 0 and 1 stops the strip
         raise ValueError("window must be a binary word")
     report = check_swap_params(params)
     if not report.valid:
@@ -777,7 +822,10 @@ class SwapTrial:
 
 def _max_run(word: str) -> int:
     """Length of the longest run of 1s in a binary word."""
-    return max(map(len, word.split("0")))
+    k = 0
+    while "1" * (k + 1) in word:
+        k += 1
+    return k
 
 
 def _run_trial(index: int, params: SwapParams, seed: int, length: int) -> SwapTrial:

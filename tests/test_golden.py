@@ -1,10 +1,12 @@
-"""The benchmark's seed-0 CSVs match their recorded digests.
+"""The benchmark's CSVs match their recorded digests.
 
 `perfbench/workloads.py` builds each workload's cafreq commands from a
 benchmark seed, and `perfbench/golden.json` holds the SHA-256 of every CSV
-they write.  Here the five rule-sweep commands and the swap-trials command
-of seed 0 run through `cafreq.cli.main`, so a change in their bytes shows
-in the test suite, not only when the benchmark runs.
+they write.  Here the five rule-sweep commands of seed 0 and the
+swap-trials command of seeds 0-3 run through `cafreq.cli.main`, so a change
+in their bytes shows in the test suite, not only when the benchmark runs.
+The swap-trials seeds share one count table, so each further seed adds
+only its 100 windows.
 """
 
 import hashlib
@@ -29,20 +31,25 @@ def load_workloads():
 
 
 workloads = load_workloads()
-SEED = 0
+SEEDS = {"rule-sweep": [0], "swap-trials": [0, 1, 2, 3]}
 COMMANDS = [
-    (name, command)
-    for name in ("rule-sweep", "swap-trials")
-    for command in workloads.WORKLOADS[name].commands(SEED)
+    (name, seed, command)
+    for name, seeds in SEEDS.items()
+    for seed in seeds
+    for command in workloads.WORKLOADS[name].commands(seed)
 ]
 
 
+def command_id(name, seed, command):
+    return f"{name}-{command.name}" + (f"-seed{seed}" if seed else "")
+
+
 @pytest.mark.parametrize(
-    "name, command", COMMANDS, ids=[f"{name}-{command.name}" for name, command in COMMANDS]
+    "name, seed, command", COMMANDS, ids=[command_id(*entry) for entry in COMMANDS]
 )
-def test_csv_matches_golden_digest(name, command, tmp_path):
+def test_csv_matches_golden_digest(name, seed, command, tmp_path):
     out = tmp_path / f"{command.name}.csv"
     assert main([*command.argv, "--out", str(out)]) == 0
     golden = workloads.load_golden()["digests"][name]
-    seed = workloads.input_seed(workloads.WORKLOADS[name], SEED)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[str(seed)][command.name]
+    input_seed = workloads.input_seed(workloads.WORKLOADS[name], seed)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[str(input_seed)][command.name]

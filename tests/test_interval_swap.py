@@ -171,7 +171,28 @@ def safe_family(params, length):
     return [w for w in full_family(length) if params.marker not in w]
 
 
+#: code bit -> its block 110b, for str.translate
+CODE_BLOCKS = {ord("0"): "1100", ord("1"): "1101"}
+
+
+def translated_dense_word(params, length, index):
+    """A safe dense code word built block by block with str.translate."""
+    free, suffix = interval_swap._safe_code_shape(params.n, length)
+    bits = (format(index, f"0{free}b") if free else "") + suffix
+    return bits.translate(CODE_BLOCKS) + "0" * (length % 4)
+
+
 class TestDenseFamily:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hex_builder_matches_translated_blocks(self, n):
+        params = SwapParams(n, CANON.p)
+        for length in [*range(61), 5318]:
+            total = safe_dense_count(params, length)
+            for idx in sorted({0, total // 2, total - 1}) if total else ():
+                assert unrank_dense_safe(params, length, idx) == translated_dense_word(
+                    params, length, idx
+                ), (length, idx)
+
     def test_spec_words(self):
         # at length 8 every code bit is free: the safe family is the full one
         assert unrank_dense_safe(CANON, 8, 2) == "11011100"
@@ -341,6 +362,13 @@ class TestApplySwap:
     def test_non_binary_window_rejected(self):
         with pytest.raises(ValueError):
             apply_swap("012", CANON)
+
+    @pytest.mark.parametrize("bad", ["2", "x", " ", "\u0661"])
+    def test_non_binary_character_inside_the_window_rejected(self, bad):
+        free = unrank_sparse(CANON, 195, 12345)
+        window = medium_window(free[:90] + bad + free[91:])
+        with pytest.raises(ValueError, match="window must be a binary word"):
+            apply_swap(window, CANON)
 
 
 class TestParamsValidity:
@@ -704,6 +732,55 @@ class TestAgainstPerBitOracle:
         assert engine.length == built
 
 
+class TestZeroChains:
+    def test_canonical_chains(self):
+        # 1 -> 10 -> 100 = state 0 and 10 -> 100; 101 and 1010 meet the marker
+        chains = interval_swap._MarkerEngine(CANON.marker, CANON_CAP).chains
+        assert chains == [(0, 0), (2, 0), (1, 0), None, None]
+        assert {s: chain for s, chain in enumerate(chains) if chain and chain[0]} == {
+            1: (2, 0),
+            2: (1, 0),
+        }
+
+    def test_chains_follow_the_automaton(self):
+        # d zeros lead to z without an occurrence; z is kept by a 0 and
+        # reads one column; no state without a chain gets there
+        for m in range(1, 9):
+            for bits in itertools.product("01", repeat=m):
+                engine = interval_swap._MarkerEngine("".join(bits), 0)
+                for s, chain in enumerate(engine.chains):
+                    seen = [s]
+                    while seen[-1] < m and engine.delta[seen[-1]][0] not in seen:
+                        seen.append(engine.delta[seen[-1]][0])
+                    end = seen[-1]
+                    ends_well = (
+                        end < m
+                        and engine.delta[end][0] == end
+                        and engine.numerators[end] is interval_swap._UNIT
+                    )
+                    assert chain == ((len(seen) - 1, end) if ends_well else None)
+
+    @pytest.mark.parametrize("pattern_len", range(1, 7))
+    def test_unrank_matches_per_bit_walk(self, pattern_len):
+        # every pattern of the length, with and without chains; each cap and
+        # band; the first, middle and last words of each length up to 14
+        for bits in itertools.product("01", repeat=pattern_len):
+            pattern = "".join(bits)
+            for cap in (0, 2, 5):
+                layers = reference_layers(pattern, cap, 14)
+                engine = interval_swap._MarkerEngine(pattern, cap)
+                engine.ensure(14)
+                for lo in range(cap + 1):
+                    for hi in range(lo, cap + 2):
+                        for length in range(15):
+                            total = reference_count(layers, length, 0, lo, hi)
+                            indices = {0, total // 3, total // 2, total - 1} if total else ()
+                            for idx in sorted(indices):
+                                assert engine.unrank(length, idx, lo, hi) == reference_unrank(
+                                    pattern, layers, length, idx, lo, hi
+                                ), (pattern, cap, lo, hi, length, idx)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -763,6 +840,22 @@ class TestTrials:
         one = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=1)
         two = run_swap_trials(CANON, 4, seed=5, window_length=900, jobs=2)
         assert one == two
+
+
+def split_max_run(word):
+    """The longest run of 1s, from the word's pieces between zeros."""
+    return max(map(len, word.split("0")))
+
+
+def test_max_run_matches_split_pieces():
+    words = ["", "0", "1", "0" * 50, "1" * 50, "0110111", "1110", "0111"]
+    rng = SplitMix64(3)
+    for density in (2, 10, 50, 90):
+        for length in (1, 7, 200, 2000):
+            words.append("".join("1" if rng.below(100) < density else "0" for _ in range(length)))
+    words.append(unrank_dense_safe(CANON, 5318, safe_dense_count(CANON, 5318) // 3))
+    for word in words:
+        assert interval_swap._max_run(word) == split_max_run(word), word
 
 
 def test_every_public_name_resolves():
