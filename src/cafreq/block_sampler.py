@@ -12,15 +12,19 @@ The alternation phase is fixed: sibling j of the expanded block receives
 the filled content when j is even, the negation when j is odd, the filled
 block itself being child 0.
 
-A block is one packed integer, read from the sample's stream by index
-(`rng.ChunkedDraws`): the generator walks every coin of the whole block in
-the order of one `next64` call per draw, and returns the index it stopped
-at.  A level that copies with probability 0 at and below itself is a run of
-leaf draws, one slice of the stream's top bits.  A coin whose denominator
-fits one word compares each draw with its precomputed rejection limit
-inline, as `rng.Uniform` does; a wider one reads its words through
-`rng.Coin`.  A copy doubles: `first`, or the pair of `first` and its
-negation, shifted onto itself until it fills the block.
+A sample reads its stream by index (`rng.ChunkedDraws`): the walk visits
+every coin of the whole top block in the order of one `next64` call per
+draw, and returns the index it stopped at, but it builds only the cells it
+is asked for, as one packed integer.  A level that copies with probability
+0 at and below itself is a run of leaf draws: one slice of the stream's top
+bits where cells are asked for, otherwise stepped over unread.  A block
+asks its first child for its cells modulo the child length, because the
+copy coin comes after that child; a copy then repeats `first`, or the pair
+of `first` and its negation, by shifts over the cells asked for.  A coin
+whose denominator fits one word compares each draw with its precomputed
+rejection limit inline, as `rng.Uniform` does; a wider one reads its words
+through `rng.Coin`.  `BlockSampler.draw` asks only for the cells that its
+XOR output reads, so the whole-block walk of coins is what a sample costs.
 
 The two-neighbor XOR map iterated 2^k times reduces to a single lag-2^k
 cellwise XOR; xor_power implements that shortcut and xor_iterate composes
@@ -32,8 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Union
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence, Union
 
 from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
 from .rules import size_text
@@ -84,7 +88,8 @@ def _coin_plan(p: Fraction) -> _CoinPlan:
     return coin
 
 
-#: every sample builds a whole top block, 2^21 bits at 6 levels (2^28 at 7)
+#: every sample walks the coins of a whole top block, 2^21 cells at 6 levels
+#: (2^28 at 7), and may build all of it
 MAX_LEVELS = 6
 
 
@@ -104,8 +109,8 @@ class _Level:
     length: int  # block_length(n)
     child_len: int
     child_mask: int  # child_len ones: negates a child
-    run: bool  # copy probability 0 at levels 1..n: `length` leaf draws in a row
-    child_run: bool  # level n-1 is a run, or the single leaf of level 0
+    run: bool  # level 0, or copy probability 0 at levels 1..n: `length` leaf draws
+    child_run: bool  # level n-1 is a run
     copy: _CoinPlan
     alpha: _CoinPlan
 
@@ -138,14 +143,15 @@ class BlockMeasureParams:
     def window_capacity(self) -> int:
         return block_length(self.levels)
 
-    # _Level plans for levels 1..levels, built on first use: the value admits
+    # _Level plans for levels 0..levels, built on first use: the value admits
     # any level count, the plan (a sampler's) at most MAX_LEVELS
     @cached_property
-    def _plan(self) -> tuple[Optional[_Level], ...]:
+    def _plan(self) -> tuple[_Level, ...]:
         check_levels(self.levels)
         alpha = _coin_plan(self.alpha)
-        plan: list[Optional[_Level]] = [None]
-        run = True  # level 0, a single leaf draw
+        # level 0 is a single leaf draw: a run without children
+        plan = [_Level(1, 0, 0, run=True, child_run=False, copy=False, alpha=alpha)]
+        run = True
         for n in range(1, self.levels + 1):
             child_len, child_run = block_length(n - 1), run
             run = child_run and self.copy_probs[n - 1] == 0
@@ -163,58 +169,55 @@ class BlockMeasureParams:
         return tuple(plan)
 
 
-def _leaves(source: ChunkedDraws, i: int, n: int) -> tuple[int, int]:
-    """The top bits of draws i..i+n-1 as one integer, and the next index."""
-    end = i + n
-    while len(source.tops) < end:
-        source.extend()
-    return int(source.tops[i:end], 2), end
-
-
 def _flip(coin: _CoinPlan, source: ChunkedDraws, i: int) -> tuple[bool, int]:
-    """A coin that one word does not decide, read from draw i on.
+    """A coin of the plan read from draw i on: its outcome and the next index.
 
-    Returns its outcome and the next index.  p in {0, 1} draws nothing; a
-    denominator past 2^64 reads each candidate's words through `Coin.flip`.
+    A one-word coin is `Uniform.draw` written out; p in {0, 1} draws nothing;
+    a denominator past 2^64 reads each candidate's words through `Coin.flip`.
     """
+    words = source.words  # extended in place
+    if coin.__class__ is tuple:
+        limit, n, num = coin
+        while True:
+            while i >= len(words):
+                source.extend()
+            r = words[i]
+            i += 1
+            if r < limit:  # a draw at or past limit is skipped
+                return r % n < num, i
     if coin.__class__ is bool:
         return coin, i
 
     def next64() -> int:
         nonlocal i
-        if i == len(source.words):
+        while i >= len(words):
             source.extend()
         i += 1
-        return source.words[i - 1]
+        return words[i - 1]
 
     return coin.flip(next64), i
 
 
-def _generate_block(plan: tuple, level: int, source: ChunkedDraws, i: int) -> tuple[int, int]:
-    """Sample one level block from draw i on: the block and the next index.
+def _skip(plan: tuple, level: int, source: ChunkedDraws, i: int) -> int:
+    """Walk the coins of one level block from draw i on: the next index.
 
-    The block is a packed integer, leftmost cell highest bit; a leaf cell is
-    the top bit of its draw.  Draws are read in the order of the scalar
-    recursion: the first child, the copy coin, then the alpha coin or the
-    other children.  A one-word coin is `Uniform.draw` written inline.
+    Nothing is built, and leaf runs are stepped over unread.  The one-word
+    coins of `_flip` are written out here, where most coins are read.
     """
     step = plan[level]
     if step.run:
-        return _leaves(source, i, step.length)
-    if step.child_run:
-        first, i = _leaves(source, i, step.child_len)
-    else:
-        first, i = _generate_block(plan, level - 1, source, i)
-    words = source.words  # extended in place
+        return i + step.length
+    i = i + step.child_len if step.child_run else _skip(plan, level - 1, source, i)
+    words = source.words
     coin = step.copy
     if coin.__class__ is tuple:
         limit, n, num = coin
         while True:
-            if i == len(words):
+            while i >= len(words):
                 source.extend()
             r = words[i]
             i += 1
-            if r < limit:  # a draw at or past limit is skipped
+            if r < limit:
                 break
         copied = r % n < num
     else:
@@ -222,34 +225,108 @@ def _generate_block(plan: tuple, level: int, source: ChunkedDraws, i: int) -> tu
     if copied:
         coin = step.alpha
         if coin.__class__ is tuple:
-            limit, n, num = coin
+            limit = coin[0]
             while True:
-                if i == len(words):
+                while i >= len(words):
                     source.extend()
-                r = words[i]
                 i += 1
-                if r < limit:
-                    break
-            plain = r % n < num
+                if words[i - 1] < limit:
+                    return i
+        return _flip(coin, source, i)[1]
+    if step.child_run:
+        return i + step.length - step.child_len
+    for _ in range(step.length // step.child_len - 1):
+        i = _skip(plan, level - 1, source, i)
+    return i
+
+
+Cells = Sequence[tuple[int, int]]
+
+
+def _merged(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Cell ranges sorted, with overlapping or touching ones joined."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(pieces):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
         else:
-            plain, i = _flip(coin, source, i)
-        if plain:
-            out, width = first, step.child_len
-        else:
-            out, width = first << step.child_len | first ^ step.child_mask, 2 * step.child_len
-        while width < step.length:
+            out.append((lo, hi))
+    return out
+
+
+def _project(cells: Cells, c: int) -> Cells:
+    """The cells taken modulo the child length c: what a copy reads of child 0."""
+    if cells[-1][1] <= c:
+        return cells
+    pieces = []
+    for lo, hi in cells:
+        if hi - lo >= c:
+            return ((0, c),)
+        lo, hi = lo % c, hi % c or c
+        if lo < hi:
+            pieces.append((lo, hi))
+        else:  # wraps past the child's end
+            pieces += ((lo, c), (0, hi))
+    return _merged(pieces)
+
+
+def _split(cells: Cells, c: int) -> dict[int, list[tuple[int, int]]]:
+    """The cells grouped by child of length c, each in its child's coordinates."""
+    by_child: dict[int, list[tuple[int, int]]] = {}
+    for lo, hi in cells:
+        while lo < hi:
+            j = lo // c
+            end = min(hi, (j + 1) * c)
+            by_child.setdefault(j, []).append((lo - j * c, end - j * c))
+            lo = end
+    return by_child
+
+
+def _walk(plan: tuple, level: int, source: ChunkedDraws, i: int, cells: Cells) -> tuple[int, int]:
+    """Sample one level block from draw i on, building only the requested cells.
+
+    `cells` are sorted, disjoint ranges (lo, hi) of the block.  Returns the
+    cells from the first requested one to the last, packed with the first
+    the highest bit (0 for no cells), and the next index; a cell between two
+    requested ranges may hold anything.  Draws are read in the order of the
+    scalar recursion: the first child, the copy coin, then the alpha coin or
+    the other children.  The first child is asked for the cells modulo its
+    length, which a copy reads; a child asked for nothing is `_skip`ped.  A
+    leaf cell is the top bit of its draw.
+    """
+    if not cells:
+        return 0, _skip(plan, level, source, i)
+    step = plan[level]
+    lo, hi = cells[0][0], cells[-1][1]
+    if step.run:  # one slice of the draws' top bits
+        while len(source.tops) < i + hi:
+            source.extend()
+        return int(source.tops[i + lo : i + hi], 2), i + step.length
+    c = step.child_len
+    inner = _project(cells, c)
+    first, i = _walk(plan, level - 1, source, i, inner)
+    first <<= c - inner[-1][1]  # child 0 as c cells
+    copied, i = _flip(step.copy, source, i)
+    if copied:
+        plain, i = _flip(step.alpha, source, i)
+        # one period of the block: child 0, or it and its negation
+        out, width = (first, c) if plain else (first << c | first ^ step.child_mask, 2 * c)
+        start = lo - lo % width
+        while start + width < hi:
             out = out << width | out
             width <<= 1
-        return out, i
-    if step.child_run:
-        rest, end = _leaves(source, i, step.length - step.child_len)
-        return first << (end - i) | rest, end
-    out = first
-    shift = step.child_len
-    for _ in range(step.length // shift - 1):
-        child, i = _generate_block(plan, level - 1, source, i)
-        out = out << shift | child
-    return out, i
+        return out >> (start + width - hi) & ((1 << (hi - lo)) - 1), i
+    by_child = _split(cells, c)
+    last = (hi - 1) // c  # children 0..last, c cells each, hold the cells
+    out = first << last * c if 0 in by_child else 0
+    for j in range(1, step.length // c):
+        sub = by_child.get(j)
+        if sub is None:
+            i = _skip(plan, level - 1, source, i)
+        else:
+            child, i = _walk(plan, level - 1, source, i, sub)
+            out |= child << (c - sub[-1][1]) << (last - j) * c
+    return out >> ((last + 1) * c - hi) & ((1 << (hi - lo)) - 1), i
 
 
 @dataclass(frozen=True)
@@ -275,13 +352,16 @@ def containment_probability(params: BlockMeasureParams, length: int) -> Fraction
 
 
 def sample_hierarchical(
-    params: BlockMeasureParams, length: int, rng: SplitMix64
+    params: BlockMeasureParams, length: int, rng: SplitMix64, cells: Optional[Cells] = None
 ) -> HierarchicalSample:
     """Sample one window of the block measure.
 
     The window's offset inside its top-level block is uniform; offsets that
     would make it straddle a block boundary are rejected and redrawn.  The
     per-level offsets are the top offset reduced modulo each block length.
+    `cells`, sorted and disjoint ranges (lo, hi) of window cells, names the
+    cells to fill; the others read 0.  By default the whole window is
+    filled.  The stream is used the same way whichever cells are filled.
     """
     plan = params._plan
     cap = params.window_capacity
@@ -289,16 +369,24 @@ def sample_hierarchical(
         raise ValueError(
             f"window length {length} not in [1, {cap}] for {params.levels} levels"
         )
+    if cells is None:
+        cells = ((0, length),)
+    end = 0
+    for lo, hi in cells:
+        if not end <= lo < hi <= length:
+            raise ValueError(f"cells {cells!r} are not sorted disjoint ranges of {length} cells")
+        end = hi
     offset, rejections = rng.below(cap), 0
     while offset + length > cap:
         offset, rejections = rng.below(cap), rejections + 1
     source = ChunkedDraws(rng)
-    block, used = _generate_block(plan, params.levels, source, 0)
+    top = [(offset + lo, offset + hi) for lo, hi in cells]
+    box, used = _walk(plan, params.levels, source, 0, top)
     source.close(used)
-    shift = cap - offset - length
-    bits = (block >> shift) & ((1 << length) - 1)
-    # level 0 blocks are single cells, so their offset is always 0
-    offsets = (0, *(offset % step.length for step in plan[1:]))
+    bits = 0
+    for lo, hi in cells:  # the box spans cells[0] to cells[-1], its first cell highest
+        bits |= (box >> (end - hi) & ((1 << (hi - lo)) - 1)) << (length - hi)
+    offsets = tuple(offset % step.length for step in plan)
     return HierarchicalSample(bits=bits, length=length, offsets=offsets, rejections=rejections)
 
 
@@ -384,8 +472,33 @@ class BlockSampler:
             )
 
     def draw(self, length: int, rng: SplitMix64) -> str:
-        raw = sample_hierarchical(self.params, length + self.steps, rng)
+        """A window of `length` cells after the XOR steps, from one sample.
+
+        By Lucas' theorem output cell k reads only the cells k + d with
+        `d & ~steps == 0`, so the sample fills only those taps; the others
+        read 0 and change no output cell.
+        """
+        cells = _tap_cells(length, self.steps, 1 << self.params.levels)
+        raw = sample_hierarchical(self.params, length + self.steps, rng, cells=cells)
         return xor_iterate(raw.bits, self.steps, raw.length)
+
+
+@lru_cache(maxsize=64)
+def _tap_cells(length: int, steps: int, most: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """The cells that `length` outputs of `steps` XOR steps read, as ranges.
+
+    [0, length) shifted and merged over each set bit of `steps`; None (the
+    whole window) once there are more than `most` ranges, which bounds the
+    work for a step count with many spread set bits.
+    """
+    cells, bit = [(0, length)], 1
+    while bit <= steps:
+        if steps & bit:
+            cells = _merged(cells + [(lo + bit, hi + bit) for lo, hi in cells])
+            if len(cells) > most:
+                return None
+        bit <<= 1
+    return tuple(cells)
 
 
 @dataclass(frozen=True)

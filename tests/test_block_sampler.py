@@ -115,7 +115,7 @@ class TestGeometry:
             BlockMeasureParams(levels=2, copy_probs=(Fraction(1),))
 
     def test_levels_guard(self):
-        # every sample builds a whole top block: 2^21 bits at 6 levels, 2^28 at 7
+        # every sample walks the coins of a whole top block: 2^21 cells at 6 levels, 2^28 at 7
         assert BlockSampler(BlockMeasureParams(levels=6)).capacity == 1 << 21
         with pytest.raises(ValueError, match="7 levels exceed 6"):
             BlockSampler(BlockMeasureParams(levels=7))
@@ -338,15 +338,42 @@ class TestEstimation:
         )
 
 
+def cell_bits(bits, length, cells):
+    """The given cells of a packed `length`-cell word, the others 0."""
+    mask = 0
+    for lo, hi in cells:
+        mask |= ((1 << (hi - lo)) - 1) << (length - hi)
+    return bits & mask
+
+
+def random_cells(rng, length):
+    """One to four sorted, disjoint ranges of [0, length)."""
+    points = sorted({rng.below(length + 1) for _ in range(2 * (1 + rng.below(4)))})
+    cells = [(lo, hi) for lo, hi in zip(points[::2], points[1::2])]
+    return cells or [(0, length)]
+
+
 class TestAgainstScalarOracle:
     @staticmethod
-    def check_block(params, seed, i):
-        """Generate stream (seed, i)'s top block; check it against the oracle."""
+    def check_block(params, seed, i, cells=None):
+        """Walk stream (seed, i)'s top block for `cells`, the whole block by
+        default; check the cells and the stream's state against the oracle."""
+        length = params.window_capacity
+        if cells is None:
+            cells = [(0, length)]
         rng, oracle = SplitMix64.for_index(seed, i), SplitMix64.for_index(seed, i)
         source = ChunkedDraws(rng)
-        block, used = block_sampler._generate_block(params._plan, params.levels, source, 0)
+        box, used = block_sampler._walk(params._plan, params.levels, source, 0, cells)
         source.close(used)
-        assert block == oracle_block(params, params.levels, oracle)
+        block = oracle_block(params, params.levels, oracle)
+        if cells == [(0, length)]:
+            assert box == block
+        elif not cells:
+            assert box == 0
+        else:  # the box spans the first requested cell to the last
+            lo, hi = cells[0][0], cells[-1][1]
+            placed = [(a - lo, b - lo) for a, b in cells]
+            assert cell_bits(box, hi - lo, placed) == cell_bits(block >> (length - hi), hi - lo, placed)
         assert rng.state == oracle.state
         return source, used
 
@@ -427,13 +454,88 @@ class TestAgainstScalarOracle:
         reader = iter(words[1:])
         assert (Uniform(3).draw(reader.__next__) < 2) is heads
         assert list(reader) == [0]
-        block, used = block_sampler._generate_block(params._plan, 1, source, 0)
+        block, used = block_sampler._walk(params._plan, 1, source, 0, [(0, 2)])
         if heads:
             assert (block, used) == (0b11, 3)
         elif coin == "copy":
             assert (block, used) == (0b10, 4)  # the resampled leaf is the last word
         else:
             assert (block, used) == (0b10, 3)  # the negated copy
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["default", "custom"])
+    @pytest.mark.parametrize("alpha", ALPHAS, ids=["0", "1/3", "1/2", "1", "1/(2^64+1)"])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
+    def test_requested_cells_and_states(self, levels, alpha, custom):
+        probs = (Fraction(2, 3), Fraction(0), Fraction(1), Fraction(2, 3), Fraction(1, 2))
+        params = BlockMeasureParams(levels, alpha, probs[:levels] if custom else None)
+        length, child = params.window_capacity, block_length(levels - 1)
+        requests = [
+            [(child - 1, child + 1)],  # across the first child boundary
+            [(0, 1), (length - 1, length)],  # the first cell and the last
+        ]
+        taps = block_sampler._tap_cells(3, child + 1, 1 << levels)  # d in {0, 1, child, child + 1}
+        if taps[-1][1] <= length:  # two ranges from 3 levels on, at the block's end
+            requests.append([(lo + length - taps[-1][1], hi + length - taps[-1][1]) for lo, hi in taps])
+        pick = SplitMix64(levels)
+        for i in range(6 if levels == 5 else 12):
+            for cells in requests + [random_cells(pick, length)]:
+                _, used = self.check_block(params, 41, i, cells)
+                # a walk that builds nothing reads the same draws
+                assert self.check_block(params, 41, i, [])[1] == used
+
+    @pytest.mark.parametrize(
+        "steps", [0, 1, 3, 5, 2, 64, 512, 1000, 255, 0b101010101, "cap"],
+        ids=lambda s: f"steps={s}",
+    )
+    def test_draw_is_the_xor_of_the_oracle_window(self, steps):
+        # one stream across many draws: every draw leaves the oracle's state
+        params = BlockMeasureParams(4, Fraction(1, 2))
+        for n in (1, 2, 5):
+            t = params.window_capacity - n if steps == "cap" else steps
+            sampler = BlockSampler(params, t)
+            rng, oracle = SplitMix64(n), SplitMix64(n)
+            for _ in range(5):
+                raw = oracle_sample(params, n + t, oracle)
+                assert sampler.draw(n, rng) == xor_iterate(raw.bits, t, raw.length)
+                assert rng.state == oracle.state
+
+    def test_tap_cells_are_the_lucas_taps(self):
+        # output cell k after t steps reads the cells k + d with d & ~t == 0
+        for n, t in [(1, 0), (1, 5), (2, 5), (3, 64), (4, 1024), (1, 0b10101010), (2, 0b1011)]:
+            cells = {k + d for k in range(n) for d in range(t + 1) if d & ~t == 0}
+            ranges = block_sampler._tap_cells(n, t, 64)
+            assert {x for lo, hi in ranges for x in range(lo, hi)} == cells
+            assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))  # merged
+
+    def test_tap_request_is_bounded(self):
+        # 8 spread set bits make 256 ranges, past a 6-level block's 64 children:
+        # the whole window is asked for, and the merging stops early
+        assert block_sampler._tap_cells(1, 0b1010101010101010, 64) is None
+        assert len(block_sampler._tap_cells(1, 0b10101010, 16)) == 16
+        assert block_sampler._tap_cells(1, 0b10101010, 15) is None
+        for k in (1, 4, 10, 21):  # 2^k - 1 steps read one range
+            assert block_sampler._tap_cells(3, 2**k - 1, 64) == ((0, 2**k + 2),)
+
+    @pytest.mark.parametrize("cells", [[], [(0, 1)], [(2, 5), (9, 30), (30, 31)], [(0, 40)]])
+    def test_sample_fills_only_the_requested_cells(self, cells):
+        params = BlockMeasureParams(4, Fraction(1, 3))
+        for i in range(8):
+            rng, oracle = SplitMix64.for_index(3, i), SplitMix64.for_index(3, i)
+            want = oracle_sample(params, 40, oracle)
+            got = sample_hierarchical(params, 40, rng, cells)
+            assert got == block_sampler.HierarchicalSample(
+                cell_bits(want.bits, 40, cells), 40, want.offsets, want.rejections
+            )
+            assert rng.state == oracle.state
+
+    @pytest.mark.parametrize(
+        "cells", [[(3, 2)], [(2, 2)], [(-1, 2)], [(0, 41)], [(0, 5), (4, 6)], [(5, 6), (0, 1)]]
+    )
+    def test_malformed_cells_refused_before_any_draw(self, cells):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match="not sorted disjoint ranges of 40 cells"):
+            sample_hierarchical(BlockMeasureParams(4), 40, rng, cells)
+        assert rng.state == 1
 
     def test_samples_leave_no_reference_cycles(self):
         # a cycle would keep each sample's draw buffer alive until a collection
