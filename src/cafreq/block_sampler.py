@@ -15,12 +15,13 @@ block itself being child 0.
 A sample reads its stream by index (`rng.ChunkedDraws`): the walk visits
 every coin of the whole top block in the order of one `next64` call per
 draw, and returns the index it stopped at, but it builds only the cells it
-is asked for, as one packed integer.  A level that copies with probability
-0 at and below itself is a run of leaf draws: one slice of the stream's top
-bits where cells are asked for, otherwise stepped over unread.  A block
-asks its first child for its cells modulo the child length, because the
-copy coin comes after that child; a copy then repeats `first`, or the pair
-of `first` and its negation, by shifts over the cells asked for.  A coin
+is asked for.  The cells are asked for as one mask, packed as the block is,
+the first cell the highest bit.  A level that copies with probability 0 at
+and below itself is a run of leaf draws: the top bits of one slice of the
+stream from the first cell asked for to the last, or stepped over unread
+when none is.  A block asks its first child for the OR of every child's
+slice of the mask, because the copy coin comes after that child; a copy
+then fills each child asked for with `first` or its negation.  A coin
 whose denominator fits one word compares each draw with its precomputed
 rejection limit inline, as `rng.Uniform` does; a wider one reads its words
 through `rng.Coin`.  `BlockSampler.draw` asks only for the cells that its
@@ -36,8 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import Optional, Union
 
 from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
 from .rules import size_text
@@ -240,93 +242,56 @@ def _skip(plan: tuple, level: int, source: ChunkedDraws, i: int) -> int:
     return i
 
 
-Cells = Sequence[tuple[int, int]]
+def _walk(plan: tuple, level: int, source: ChunkedDraws, i: int, want: int) -> tuple[int, int]:
+    """Sample one level block from draw i on, building only the cells of `want`.
 
-
-def _merged(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Cell ranges sorted, with overlapping or touching ones joined."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted(pieces):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(hi, out[-1][1]))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _project(cells: Cells, c: int) -> Cells:
-    """The cells taken modulo the child length c: what a copy reads of child 0."""
-    if cells[-1][1] <= c:
-        return cells
-    pieces = []
-    for lo, hi in cells:
-        if hi - lo >= c:
-            return ((0, c),)
-        lo, hi = lo % c, hi % c or c
-        if lo < hi:
-            pieces.append((lo, hi))
-        else:  # wraps past the child's end
-            pieces += ((lo, c), (0, hi))
-    return _merged(pieces)
-
-
-def _split(cells: Cells, c: int) -> dict[int, list[tuple[int, int]]]:
-    """The cells grouped by child of length c, each in its child's coordinates."""
-    by_child: dict[int, list[tuple[int, int]]] = {}
-    for lo, hi in cells:
-        while lo < hi:
-            j = lo // c
-            end = min(hi, (j + 1) * c)
-            by_child.setdefault(j, []).append((lo - j * c, end - j * c))
-            lo = end
-    return by_child
-
-
-def _walk(plan: tuple, level: int, source: ChunkedDraws, i: int, cells: Cells) -> tuple[int, int]:
-    """Sample one level block from draw i on, building only the requested cells.
-
-    `cells` are sorted, disjoint ranges (lo, hi) of the block.  Returns the
-    cells from the first requested one to the last, packed with the first
-    the highest bit (0 for no cells), and the next index; a cell between two
-    requested ranges may hold anything.  Draws are read in the order of the
-    scalar recursion: the first child, the copy coin, then the alpha coin or
-    the other children.  The first child is asked for the cells modulo its
-    length, which a copy reads; a child asked for nothing is `_skip`ped.  A
-    leaf cell is the top bit of its draw.
+    `want` is a mask of the block's cells, packed as the block is: the first
+    cell is the highest of `length` bits.  Returns the block, exact at the
+    bits of `want` (the others may hold anything), and the next index.
+    Draws are read in the order of the scalar recursion: the first child,
+    the copy coin, then the alpha coin or the other children.  The first
+    child is asked for the OR of every child's slice of `want`, which a copy
+    reads there; a child asked for nothing is `_skip`ped.  A leaf cell is
+    the top bit of its draw.
     """
-    if not cells:
+    if not want:
         return 0, _skip(plan, level, source, i)
     step = plan[level]
-    lo, hi = cells[0][0], cells[-1][1]
-    if step.run:  # one slice of the draws' top bits
-        while len(source.tops) < i + hi:
+    low = (want & -want).bit_length() - 1  # the lowest bit of `want`
+    if step.run:  # one slice of draws, from the first wanted cell to the last
+        lo, hi = i + step.length - want.bit_length(), i + step.length - low
+        words = source.words
+        while len(words) < hi:
             source.extend()
-        return int(source.tops[i + lo : i + hi], 2), i + step.length
-    c = step.child_len
-    inner = _project(cells, c)
-    first, i = _walk(plan, level - 1, source, i, inner)
-    first <<= c - inner[-1][1]  # child 0 as c cells
+        bits = bytes([49 if r >= 1 << 63 else 48 for r in words[lo:hi]])  # top bits, b'0'/b'1'
+        return int(bits, 2) << low, i + step.length
+    c, mask = step.child_len, step.child_mask
+    last = step.length // c - 1  # child j sits at bit (last - j) * c
+    # the nonzero slices of `want` by child, read up from its lowest bit's child
+    w, j, parts = want >> low // c * c, last - low // c, {}
+    while w:
+        if part := w & mask:
+            parts[j] = part
+        w >>= c
+        j -= 1
+    first, i = _walk(plan, level - 1, source, i, reduce(or_, parts.values()))
     copied, i = _flip(step.copy, source, i)
     if copied:
         plain, i = _flip(step.alpha, source, i)
-        # one period of the block: child 0, or it and its negation
-        out, width = (first, c) if plain else (first << c | first ^ step.child_mask, 2 * c)
-        start = lo - lo % width
-        while start + width < hi:
-            out = out << width | out
-            width <<= 1
-        return out >> (start + width - hi) & ((1 << (hi - lo)) - 1), i
-    by_child = _split(cells, c)
-    last = (hi - 1) // c  # children 0..last, c cells each, hold the cells
-    out = first << last * c if 0 in by_child else 0
-    for j in range(1, step.length // c):
-        sub = by_child.get(j)
-        if sub is None:
+        odd = first if plain else first ^ mask
+        out = 0
+        for j in parts:
+            out |= (odd if j & 1 else first) << (last - j) * c
+        return out, i
+    out = first << last * c
+    for j in range(1, last + 1):
+        part = parts.get(j)
+        if part is None:
             i = _skip(plan, level - 1, source, i)
         else:
-            child, i = _walk(plan, level - 1, source, i, sub)
-            out |= child << (c - sub[-1][1]) << (last - j) * c
-    return out >> ((last + 1) * c - hi) & ((1 << (hi - lo)) - 1), i
+            child, i = _walk(plan, level - 1, source, i, part)
+            out |= child << (last - j) * c
+    return out, i
 
 
 @dataclass(frozen=True)
@@ -352,16 +317,16 @@ def containment_probability(params: BlockMeasureParams, length: int) -> Fraction
 
 
 def sample_hierarchical(
-    params: BlockMeasureParams, length: int, rng: SplitMix64, cells: Optional[Cells] = None
+    params: BlockMeasureParams, length: int, rng: SplitMix64, cells: Optional[int] = None
 ) -> HierarchicalSample:
     """Sample one window of the block measure.
 
     The window's offset inside its top-level block is uniform; offsets that
     would make it straddle a block boundary are rejected and redrawn.  The
     per-level offsets are the top offset reduced modulo each block length.
-    `cells`, sorted and disjoint ranges (lo, hi) of window cells, names the
-    cells to fill; the others read 0.  By default the whole window is
-    filled.  The stream is used the same way whichever cells are filled.
+    `cells`, a mask of the window packed as `bits` is, names the cells to
+    fill; the others read 0.  By default the whole window is filled.  The
+    stream is used the same way whichever cells are filled.
     """
     plan = params._plan
     cap = params.window_capacity
@@ -370,24 +335,20 @@ def sample_hierarchical(
             f"window length {length} not in [1, {cap}] for {params.levels} levels"
         )
     if cells is None:
-        cells = ((0, length),)
-    end = 0
-    for lo, hi in cells:
-        if not end <= lo < hi <= length:
-            raise ValueError(f"cells {cells!r} are not sorted disjoint ranges of {length} cells")
-        end = hi
+        cells = (1 << length) - 1
+    elif not 0 <= cells < 1 << length:
+        raise ValueError(f"cells are not a mask of {length} cells")
     offset, rejections = rng.below(cap), 0
     while offset + length > cap:
         offset, rejections = rng.below(cap), rejections + 1
     source = ChunkedDraws(rng)
-    top = [(offset + lo, offset + hi) for lo, hi in cells]
-    box, used = _walk(plan, params.levels, source, 0, top)
+    shift = cap - offset - length  # the bit of the window's last cell in the top block
+    box, used = _walk(plan, params.levels, source, 0, cells << shift)
     source.close(used)
-    bits = 0
-    for lo, hi in cells:  # the box spans cells[0] to cells[-1], its first cell highest
-        bits |= (box >> (end - hi) & ((1 << (hi - lo)) - 1)) << (length - hi)
     offsets = tuple(offset % step.length for step in plan)
-    return HierarchicalSample(bits=bits, length=length, offsets=offsets, rejections=rejections)
+    return HierarchicalSample(
+        bits=box >> shift & cells, length=length, offsets=offsets, rejections=rejections
+    )
 
 
 def _lag_xor(bits: int, length: int, k: int) -> tuple[int, int]:
@@ -475,30 +436,29 @@ class BlockSampler:
         """A window of `length` cells after the XOR steps, from one sample.
 
         By Lucas' theorem output cell k reads only the cells k + d with
-        `d & ~steps == 0`, so the sample fills only those taps; the others
-        read 0 and change no output cell.
+        `d & ~steps == 0`, so the sample fills only those taps, asked for as
+        one mask (`_tap_cells`); the others read 0 and change no output cell.
         """
-        cells = _tap_cells(length, self.steps, 1 << self.params.levels)
+        cells = _tap_cells(length, self.steps)
         raw = sample_hierarchical(self.params, length + self.steps, rng, cells=cells)
         return xor_iterate(raw.bits, self.steps, raw.length)
 
 
 @lru_cache(maxsize=64)
-def _tap_cells(length: int, steps: int, most: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """The cells that `length` outputs of `steps` XOR steps read, as ranges.
+def _tap_cells(length: int, steps: int) -> int:
+    """The cells that `length` outputs of `steps` XOR steps read, as a mask.
 
-    [0, length) shifted and merged over each set bit of `steps`; None (the
-    whole window) once there are more than `most` ranges, which bounds the
-    work for a step count with many spread set bits.
+    The mask covers the `length + steps` cells of the window, the first the
+    highest bit: the first `length` cells, ORed with the mask shifted by
+    each set bit of `steps` in turn.  It costs a few shifts of the window's
+    bit length per set bit, however spread the taps are.
     """
-    cells, bit = [(0, length)], 1
+    mask, bit = ((1 << length) - 1) << steps, 1
     while bit <= steps:
         if steps & bit:
-            cells = _merged(cells + [(lo + bit, hi + bit) for lo, hi in cells])
-            if len(cells) > most:
-                return None
+            mask |= mask >> bit
         bit <<= 1
-    return tuple(cells)
+    return mask
 
 
 @dataclass(frozen=True)

@@ -340,16 +340,13 @@ class _MarkerEngine:
     def rank(self, word: str, lo: int, hi: int) -> int:
         """Lexicographic rank; visits only the 1s and the zeros that move the state.
 
-        Each 1 adds the words that put a 0 there instead.  From a state
-        whose numerator is 1 that count is two column reads, made inline.
+        Each 1 adds the words that put a 0 there instead, one `count_range`;
+        from a state whose numerator is 1 that is two column reads.
         """
         length = len(word)
         self.ensure(length)
         m = self.states
         delta = self.delta
-        cols = self.cols
-        cap = self.max_weight
-        numerators = self.numerators
         # a non-binary character is reported once the walk reaches it, so a
         # pattern occurrence before it is reported first
         end = length
@@ -372,12 +369,7 @@ class _MarkerEngine:
                 break
             s0, s1 = delta[s]
             if s0 < m:
-                j = length - 1 - k
-                if numerators[s0] is _UNIT:  # count_range's one-column case
-                    b, a = min(hi - w, cap), min(lo - w, cap + 1) - 1
-                    rank += (cols[b][j] if b >= 0 else 0) - (cols[a][j] if a >= 0 else 0)
-                else:
-                    rank += self.count_range(j, s0, lo - w, hi - w)
+                rank += self.count_range(length - 1 - k, s0, lo - w, hi - w)
             w += 1
             s = s1
             if s >= m:

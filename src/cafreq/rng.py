@@ -168,30 +168,26 @@ def draws(state: int, count: int) -> np.ndarray:
 class ChunkedDraws:
     """The draws of a stream, hashed ahead with `draws` and read by index.
 
-    `words[k]` is the stream's (k+1)-th `next64` draw and `tops[k]` its top
-    bit as '0' or '1', so the top bits of a run of draws are one slice of
-    `tops`.  The first FIRST draws are hashed at once; each `extend` hashes
-    as many more as are held, and `words` grows in place.  The stream is
-    left alone until `close(used)`, which advances it past the first `used`
-    draws: reading draws 0..used-1 and closing consumes the same draws in
-    the same order as `used` calls of `next64`, and leaves the same state.
+    `words[k]` is the stream's (k+1)-th `next64` draw.  The first FIRST
+    draws are hashed at once; each `extend` hashes as many more as are
+    held, and `words` grows in place.  The stream is left alone until
+    `close(used)`, which advances it past the first `used` draws: reading
+    draws 0..used-1 and closing consumes the same draws in the same order
+    as `used` calls of `next64`, and leaves the same state.
     """
 
     FIRST = 64
 
-    __slots__ = ("rng", "words", "tops")
+    __slots__ = ("rng", "words")
 
     def __init__(self, rng: SplitMix64):
         self.rng = rng
         self.words: list[int] = []
-        self.tops = ""
         self.extend()
 
     def extend(self) -> None:
         held = len(self.words)
-        z = draws(self.rng.state + held * GOLDEN, held or self.FIRST)
-        self.words += z.tolist()
-        self.tops += ((z >> np.uint64(63)).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        self.words += draws(self.rng.state + held * GOLDEN, held or self.FIRST).tolist()
 
     def close(self, used: int) -> None:
         self.rng.state = (self.rng.state + used * GOLDEN) & MASK64

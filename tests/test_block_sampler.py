@@ -338,42 +338,37 @@ class TestEstimation:
         )
 
 
-def cell_bits(bits, length, cells):
-    """The given cells of a packed `length`-cell word, the others 0."""
+def cell_mask(length, cells):
+    """Ranges (lo, hi) of a `length`-cell word as a mask, the first cell highest."""
     mask = 0
     for lo, hi in cells:
         mask |= ((1 << (hi - lo)) - 1) << (length - hi)
-    return bits & mask
+    return mask
 
 
 def random_cells(rng, length):
-    """One to four sorted, disjoint ranges of [0, length)."""
+    """A mask of one to four disjoint ranges of [0, length)."""
     points = sorted({rng.below(length + 1) for _ in range(2 * (1 + rng.below(4)))})
     cells = [(lo, hi) for lo, hi in zip(points[::2], points[1::2])]
-    return cells or [(0, length)]
+    return cell_mask(length, cells or [(0, length)])
 
 
 class TestAgainstScalarOracle:
     @staticmethod
-    def check_block(params, seed, i, cells=None):
-        """Walk stream (seed, i)'s top block for `cells`, the whole block by
-        default; check the cells and the stream's state against the oracle."""
+    def check_block(params, seed, i, want=None):
+        """Walk stream (seed, i)'s top block for the cells of the mask `want`,
+        the whole block by default; check those cells and the stream's state
+        against the oracle."""
         length = params.window_capacity
-        if cells is None:
-            cells = [(0, length)]
+        if want is None:
+            want = (1 << length) - 1
         rng, oracle = SplitMix64.for_index(seed, i), SplitMix64.for_index(seed, i)
         source = ChunkedDraws(rng)
-        box, used = block_sampler._walk(params._plan, params.levels, source, 0, cells)
+        box, used = block_sampler._walk(params._plan, params.levels, source, 0, want)
         source.close(used)
         block = oracle_block(params, params.levels, oracle)
-        if cells == [(0, length)]:
-            assert box == block
-        elif not cells:
-            assert box == 0
-        else:  # the box spans the first requested cell to the last
-            lo, hi = cells[0][0], cells[-1][1]
-            placed = [(a - lo, b - lo) for a, b in cells]
-            assert cell_bits(box, hi - lo, placed) == cell_bits(block >> (length - hi), hi - lo, placed)
+        assert 0 <= box < 1 << length
+        assert box & want == block & want
         assert rng.state == oracle.state
         return source, used
 
@@ -449,12 +444,12 @@ class TestAgainstScalarOracle:
         assert getattr(params._plan[1], coin) == (2**64 - 1, 3, 2)
         words = [1 << 63, 2**64 - 1, x, 0]  # leaf 1, the rejected draw, x, leaf 0
         source = ChunkedDraws(SplitMix64(0))
-        source.words, source.tops = list(words), "1100"
+        source.words = list(words)
         # Uniform.draw skips the first word and decides on x: two draws
         reader = iter(words[1:])
         assert (Uniform(3).draw(reader.__next__) < 2) is heads
         assert list(reader) == [0]
-        block, used = block_sampler._walk(params._plan, 1, source, 0, [(0, 2)])
+        block, used = block_sampler._walk(params._plan, 1, source, 0, cell_mask(2, [(0, 2)]))
         if heads:
             assert (block, used) == (0b11, 3)
         elif coin == "copy":
@@ -470,18 +465,18 @@ class TestAgainstScalarOracle:
         params = BlockMeasureParams(levels, alpha, probs[:levels] if custom else None)
         length, child = params.window_capacity, block_length(levels - 1)
         requests = [
-            [(child - 1, child + 1)],  # across the first child boundary
-            [(0, 1), (length - 1, length)],  # the first cell and the last
+            cell_mask(length, [(child - 1, child + 1)]),  # across the first child boundary
+            cell_mask(length, [(0, 1), (length - 1, length)]),  # the first cell and the last
         ]
-        taps = block_sampler._tap_cells(3, child + 1, 1 << levels)  # d in {0, 1, child, child + 1}
-        if taps[-1][1] <= length:  # two ranges from 3 levels on, at the block's end
-            requests.append([(lo + length - taps[-1][1], hi + length - taps[-1][1]) for lo, hi in taps])
+        taps = block_sampler._tap_cells(3, child + 1)  # d in {0, 1, child, child + 1}
+        if taps < 1 << length:  # two ranges from 3 levels on, at the block's end
+            requests.append(taps)
         pick = SplitMix64(levels)
         for i in range(6 if levels == 5 else 12):
-            for cells in requests + [random_cells(pick, length)]:
-                _, used = self.check_block(params, 41, i, cells)
+            for want in requests + [random_cells(pick, length)]:
+                _, used = self.check_block(params, 41, i, want)
                 # a walk that builds nothing reads the same draws
-                assert self.check_block(params, 41, i, [])[1] == used
+                assert self.check_block(params, 41, i, 0)[1] == used
 
     @pytest.mark.parametrize(
         "steps", [0, 1, 3, 5, 2, 64, 512, 1000, 255, 0b101010101, "cap"],
@@ -503,37 +498,39 @@ class TestAgainstScalarOracle:
         # output cell k after t steps reads the cells k + d with d & ~t == 0
         for n, t in [(1, 0), (1, 5), (2, 5), (3, 64), (4, 1024), (1, 0b10101010), (2, 0b1011)]:
             cells = {k + d for k in range(n) for d in range(t + 1) if d & ~t == 0}
-            ranges = block_sampler._tap_cells(n, t, 64)
-            assert {x for lo, hi in ranges for x in range(lo, hi)} == cells
-            assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))  # merged
+            assert block_sampler._tap_cells(n, t) == sum(1 << (n + t - 1 - x) for x in cells)
+        for k in (1, 4, 10, 21):  # 2^k - 1 steps read every cell
+            assert block_sampler._tap_cells(3, 2**k - 1) == (1 << 2**k + 2) - 1
 
-    def test_tap_request_is_bounded(self):
-        # 8 spread set bits make 256 ranges, past a 6-level block's 64 children:
-        # the whole window is asked for, and the merging stops early
-        assert block_sampler._tap_cells(1, 0b1010101010101010, 64) is None
-        assert len(block_sampler._tap_cells(1, 0b10101010, 16)) == 16
-        assert block_sampler._tap_cells(1, 0b10101010, 15) is None
-        for k in (1, 4, 10, 21):  # 2^k - 1 steps read one range
-            assert block_sampler._tap_cells(3, 2**k - 1, 64) == ((0, 2**k + 2),)
+    def test_dense_step_count_draws_the_oracle_xor(self):
+        # 8 spread set bits: the taps are 256 ranges, more than the top block's 32 children
+        params, t = BlockMeasureParams(5, Fraction(1, 2)), 0b101010101010101
+        sampler = BlockSampler(params, t)
+        for n in (1, 3):
+            rng, oracle = SplitMix64(n), SplitMix64(n)
+            for _ in range(2):
+                raw = oracle_sample(params, n + t, oracle)
+                assert sampler.draw(n, rng) == xor_iterate(raw.bits, t, raw.length)
+                assert rng.state == oracle.state
 
     @pytest.mark.parametrize("cells", [[], [(0, 1)], [(2, 5), (9, 30), (30, 31)], [(0, 40)]])
     def test_sample_fills_only_the_requested_cells(self, cells):
-        params = BlockMeasureParams(4, Fraction(1, 3))
+        params, mask = BlockMeasureParams(4, Fraction(1, 3)), cell_mask(40, cells)
         for i in range(8):
             rng, oracle = SplitMix64.for_index(3, i), SplitMix64.for_index(3, i)
             want = oracle_sample(params, 40, oracle)
-            got = sample_hierarchical(params, 40, rng, cells)
+            got = sample_hierarchical(params, 40, rng, mask)
             assert got == block_sampler.HierarchicalSample(
-                cell_bits(want.bits, 40, cells), 40, want.offsets, want.rejections
+                want.bits & mask, 40, want.offsets, want.rejections
             )
             assert rng.state == oracle.state
 
     @pytest.mark.parametrize(
-        "cells", [[(3, 2)], [(2, 2)], [(-1, 2)], [(0, 41)], [(0, 5), (4, 6)], [(5, 6), (0, 1)]]
+        "cells", [-1, -(1 << 39), 1 << 40, (1 << 41) - 1], ids=["-1", "-2^39", "2^40", "2^41-1"]
     )
-    def test_malformed_cells_refused_before_any_draw(self, cells):
+    def test_cells_outside_the_window_refused_before_any_draw(self, cells):
         rng = SplitMix64(1)
-        with pytest.raises(ValueError, match="not sorted disjoint ranges of 40 cells"):
+        with pytest.raises(ValueError, match="cells are not a mask of 40 cells"):
             sample_hierarchical(BlockMeasureParams(4), 40, rng, cells)
         assert rng.state == 1
 

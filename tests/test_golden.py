@@ -2,11 +2,11 @@
 
 `perfbench/workloads.py` builds each workload's cafreq commands from a
 benchmark seed, and `perfbench/golden.json` holds the SHA-256 of every CSV
-they write.  Here the five rule-sweep commands of seed 0 and the
-swap-trials command of seeds 0-3 run through `cafreq.cli.main`, so a change
-in their bytes shows in the test suite, not only when the benchmark runs.
-The swap-trials seeds share one count table, so each further seed adds
-only its 100 windows.
+they write.  Here the two exact-pushforward commands of seeds 0-3, the
+five rule-sweep commands of seed 0 and the swap-trials command of seeds
+0-3 run through `cafreq.cli.main`, so a change in their bytes shows in the
+test suite, not only when the benchmark runs.  The swap-trials seeds share
+one count table, so each further seed adds only its 100 windows.
 
 The benchmark checks xor-limit only statistically, so a new random stream
 for the block sampler still passes there.  Its CSVs at input seeds 0-3
@@ -39,7 +39,12 @@ def load_workloads():
 
 
 workloads = load_workloads()
-SEEDS = {"rule-sweep": [0], "swap-trials": [0, 1, 2, 3], "xor-limit": [0, 1, 2, 3]}
+SEEDS = {
+    "exact-pushforward": [0, 1, 2, 3],
+    "rule-sweep": [0],
+    "swap-trials": [0, 1, 2, 3],
+    "xor-limit": [0, 1, 2, 3],
+}
 COMMANDS = [
     (name, seed, command)
     for name, seeds in SEEDS.items()

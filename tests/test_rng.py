@@ -156,10 +156,8 @@ class TestChunkedDraws:
             held.append(len(source.words))
         # 64 draws first, then each extension doubles what is held
         assert held == [64 << k for k in range(len(held))]
-        assert len(source.tops) == held[-1]
         expected = [oracle.next64() for _ in range(held[-1])]
         assert source.words == expected
-        assert source.tops == "".join(str(w >> 63) for w in expected)
         assert rng.state == seed & MASK64  # untouched until close
         source.close(count)
         oracle = SplitMix64(seed)
