@@ -340,16 +340,9 @@ def _cmd_fn_apply(args) -> int:
     _write_csv(
         args.out,
         [  # one column per SwapTrial field, in field order
-            "index",
-            "occurrences",
-            "complete_intervals",
-            "medium_intervals",
-            "rewritten_to_dense",
-            "rewritten_to_sparse",
-            "involution_ok",
-            "occurrences_conserved",
-            "quad_free",
-            "max_dense_run",
+            "index", "occurrences", "complete_intervals", "medium_intervals",
+            "rewritten_to_dense", "rewritten_to_sparse", "involution_ok",
+            "occurrences_conserved", "quad_free", "max_dense_run",
         ],
         map(row, trials),
     )
@@ -401,17 +394,8 @@ def _cmd_xor_limit(args) -> int:
             derive_seed(args.seed, n),
             jobs=args.jobs,
         )
-        rows.append(
-            (
-                n,
-                sampler.steps,
-                _fmt_frac(args.alpha),
-                est.samples,
-                repr(est.estimate),
-                repr(est.std_error),
-                args.seed,
-            )
-        )
+        rows.append((n, sampler.steps, _fmt_frac(args.alpha), est.samples,
+                     repr(est.estimate), repr(est.std_error), args.seed))
         print(
             f"n={n} (t={sampler.steps}): P([{args.word}]) ~ {est.estimate:.4f} "
             f"+- {est.std_error:.4f} ({est.hits}/{est.samples})"
@@ -428,101 +412,110 @@ def _cmd_xor_limit(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser; given argv, only the command argv names gets its arguments.
+
+    Every command is registered by name and help, so usage, help and
+    refusals read as with the whole parser, `build_parser()`.
+    """
     parser = argparse.ArgumentParser(
         prog="cafreq",
         description="Exact symbol-frequency analysis for one-dimensional cellular automata.",
     )
+    # argparse dispatches on the first word not led by "-" at each level
+    path = None if argv is None else [word for word in argv if not word.startswith("-")][:2]
+
+    def add(subparsers, name: str, help: str, func: Optional[Callable] = None):
+        p = subparsers.add_parser(name, help=help)
+        if path is not None and name not in path:
+            return None
+        if func:
+            p.set_defaults(func=func)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rule = sub.add_parser("rule", help="inspect single rules")
-    rule_sub = p_rule.add_subparsers(dest="rule_command", required=True)
-    p_info = rule_sub.add_parser("info", help="histograms and correlations of a rule")
-    p_info.add_argument("rule", help='descriptor "q r digits"')
-    p_info.set_defaults(func=_cmd_rule_info)
-    p_surj = rule_sub.add_parser("surjective", help="surjectivity of rules")
-    p_surj.add_argument("rules", nargs="*", help="rule descriptors")
-    p_surj.add_argument("--file", help="file with one descriptor per line")
-    p_surj.set_defaults(func=_cmd_rule_surjective)
+    if p := add(sub, "rule", "inspect single rules"):
+        group = p.add_subparsers(dest="rule_command", required=True)
+        if p := add(group, "info", "histograms and correlations of a rule", _cmd_rule_info):
+            p.add_argument("rule", help='descriptor "q r digits"')
+        if p := add(group, "surjective", "surjectivity of rules", _cmd_rule_surjective):
+            p.add_argument("rules", nargs="*", help="rule descriptors")
+            p.add_argument("--file", help="file with one descriptor per line")
 
-    p_corr = sub.add_parser("correlate", help="histogram and correlations for A, B")
-    p_corr.add_argument("rule")
-    p_corr.add_argument("--A", required=True, help='symbol set, e.g. "1" or "{0,2}"')
-    p_corr.add_argument("--B", help="defaults to A")
-    p_corr.add_argument("--m", type=int, default=1, help="maximum order")
-    p_corr.add_argument("--r-eff", type=int, default=None)
-    p_corr.add_argument("--out", help="CSV output path")
-    p_corr.set_defaults(func=_cmd_correlate)
+    if p := add(sub, "correlate", "histogram and correlations for A, B", _cmd_correlate):
+        p.add_argument("rule")
+        p.add_argument("--A", required=True, help='symbol set, e.g. "1" or "{0,2}"')
+        p.add_argument("--B", help="defaults to A")
+        p.add_argument("--m", type=int, default=1, help="maximum order")
+        p.add_argument("--r-eff", type=int, default=None)
+        p.add_argument("--out", help="CSV output path")
 
-    p_sweep = sub.add_parser("sweep", help="exhaustive checks over rule spaces")
-    p_sweep.add_argument("--q", type=int, default=2)
-    p_sweep.add_argument("--r", type=int, required=True, help="maximum radius")
-    p_sweep.add_argument("--check", choices=CHECKS, required=True)
-    p_sweep.add_argument("--A", default="1", help="symbol set for averages")
-    p_sweep.add_argument("--B", help="symbol set for averages, defaults to A")
-    p_sweep.add_argument("--m-max", type=int, default=16)
-    p_sweep.add_argument("--max-period", type=int, default=12)
-    p_sweep.add_argument("--limit", type=int, default=rules.DEFAULT_ENUMERATION_LIMIT)
-    p_sweep.add_argument("--jobs", type=int, default=_default_jobs())
-    p_sweep.add_argument(
-        "--rules-file",
-        help="sweep these descriptors (one per line) instead of enumerating",
-    )
-    p_sweep.add_argument("--out", help="CSV output path")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    if p := add(sub, "sweep", "exhaustive checks over rule spaces", _cmd_sweep):
+        p.add_argument("--q", type=int, default=2)
+        p.add_argument("--r", type=int, required=True, help="maximum radius")
+        p.add_argument("--check", choices=CHECKS, required=True)
+        p.add_argument("--A", default="1", help="symbol set for averages")
+        p.add_argument("--B", help="symbol set for averages, defaults to A")
+        p.add_argument("--m-max", type=int, default=16)
+        p.add_argument("--max-period", type=int, default=12)
+        p.add_argument("--limit", type=int, default=rules.DEFAULT_ENUMERATION_LIMIT)
+        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument(
+            "--rules-file",
+            help="sweep these descriptors (one per line) instead of enumerating",
+        )
+        p.add_argument("--out", help="CSV output path")
 
-    p_measure = sub.add_parser("measure", help="exact measure computations")
-    measure_sub = p_measure.add_subparsers(dest="measure_command", required=True)
-    p_push = measure_sub.add_parser("pushforward", help="cylinder values after t steps")
-    p_push.add_argument("rule")
-    p_push.add_argument("--measure", required=True, help='e.g. "bernoulli:1/4"')
-    p_push.add_argument("--word", required=True)
-    p_push.add_argument("--t", type=int, default=1)
-    p_push.add_argument("--t-max", type=int, default=None, help="emit a trajectory 0..t_max")
-    p_push.add_argument("--limit", type=int, default=measures.DEFAULT_PUSHFORWARD_LIMIT)
-    p_push.add_argument("--out", help="CSV output path")
-    p_push.set_defaults(func=_cmd_measure_pushforward)
-    p_contr = measure_sub.add_parser("contraction", help="sup-distance to uniform, before vs after")
-    p_contr.add_argument("rule")
-    p_contr.add_argument("--measure", required=True)
-    p_contr.add_argument("--n", type=int, required=True, help="cylinder length")
-    p_contr.add_argument("--limit", type=int, help="most cylinder-vector cells (default 2^23)")
-    p_contr.add_argument("--out", help="CSV output path")
-    p_contr.set_defaults(func=_cmd_measure_contraction)
+    if p := add(sub, "measure", "exact measure computations"):
+        group = p.add_subparsers(dest="measure_command", required=True)
+        if p := add(group, "pushforward", "cylinder values after t steps",
+                    _cmd_measure_pushforward):
+            p.add_argument("rule")
+            p.add_argument("--measure", required=True, help='e.g. "bernoulli:1/4"')
+            p.add_argument("--word", required=True)
+            p.add_argument("--t", type=int, default=1)
+            p.add_argument("--t-max", type=int, default=None, help="emit a trajectory 0..t_max")
+            p.add_argument("--limit", type=int, default=measures.DEFAULT_PUSHFORWARD_LIMIT)
+            p.add_argument("--out", help="CSV output path")
+        if p := add(group, "contraction", "sup-distance to uniform, before vs after",
+                    _cmd_measure_contraction):
+            p.add_argument("rule")
+            p.add_argument("--measure", required=True)
+            p.add_argument("--n", type=int, required=True, help="cylinder length")
+            p.add_argument("--limit", type=int, help="most cylinder-vector cells (default 2^23)")
+            p.add_argument("--out", help="CSV output path")
 
-    p_fn = sub.add_parser("fn", help="marker interval-swap experiments")
-    fn_sub = p_fn.add_subparsers(dest="fn_command", required=True)
-    p_fncheck = fn_sub.add_parser("check", help="validity of swap parameters")
-    p_fncheck.add_argument("--n", type=int, required=True)
-    p_fncheck.add_argument("--p", type=_frac, required=True)
-    p_fncheck.set_defaults(func=_cmd_fn_check)
-    p_fnapply = fn_sub.add_parser("apply", help="seeded involution/conservation trials")
-    p_fnapply.add_argument("--n", type=int, required=True)
-    p_fnapply.add_argument("--p", type=_frac, required=True)
-    p_fnapply.add_argument("--windows", type=int, default=1000)
-    p_fnapply.add_argument("--window-length", type=int, default=None)
-    p_fnapply.add_argument("--seed", type=int, default=0)
-    p_fnapply.add_argument("--jobs", type=int, default=_default_jobs())
-    p_fnapply.add_argument("--out", help="CSV output path")
-    p_fnapply.set_defaults(func=_cmd_fn_apply)
+    if p := add(sub, "fn", "marker interval-swap experiments"):
+        group = p.add_subparsers(dest="fn_command", required=True)
+        if p := add(group, "check", "validity of swap parameters", _cmd_fn_check):
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--p", type=_frac, required=True)
+        if p := add(group, "apply", "seeded involution/conservation trials", _cmd_fn_apply):
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--p", type=_frac, required=True)
+            p.add_argument("--windows", type=int, default=1000)
+            p.add_argument("--window-length", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--jobs", type=int, default=_default_jobs())
+            p.add_argument("--out", help="CSV output path")
 
-    p_xor = sub.add_parser("xor-limit", help="hierarchical measure under iterated XOR")
-    p_xor.add_argument("--levels", type=int, default=4)
-    p_xor.add_argument("--alpha", type=_frac, default=Fraction(1))
-    p_xor.add_argument("--samples", type=int, default=10000)
-    p_xor.add_argument("--seed", type=int, default=0)
-    p_xor.add_argument("--word", default="1")
-    p_xor.add_argument("--n-values", help="comma-separated levels, default 1..levels-1")
-    p_xor.add_argument("--jobs", type=int, default=_default_jobs())
-    p_xor.add_argument("--out", help="CSV output path")
-    p_xor.set_defaults(func=_cmd_xor_limit)
+    if p := add(sub, "xor-limit", "hierarchical measure under iterated XOR", _cmd_xor_limit):
+        p.add_argument("--levels", type=int, default=4)
+        p.add_argument("--alpha", type=_frac, default=Fraction(1))
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--word", default="1")
+        p.add_argument("--n-values", help="comma-separated levels, default 1..levels-1")
+        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--out", help="CSV output path")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -44,6 +44,15 @@ DEFAULT_PUSHFORWARD_LIMIT = 1 << 26
 MAX_VECTOR_CELLS = 1 << 23
 
 
+def _exact_dtype(bound: int) -> type:
+    """int64 when `bound` < 2^63, else object (Python ints).
+
+    Each caller passes a bound on every entry and partial sum its kernel
+    forms, so int64 arithmetic under it cannot overflow: exact either way.
+    """
+    return np.int64 if bound < 1 << 63 else object
+
+
 class CylinderMeasure:
     """Base: a shift-invariant measure described by exact cylinder values."""
 
@@ -55,18 +64,20 @@ class CylinderMeasure:
     def vector(self, n: int) -> tuple[np.ndarray, int]:
         """(v, D) with mu([u]) = v[u] / D for every length-n word u.
 
-        v holds Python ints (object dtype) indexed by word, base q, leftmost
-        cell most significant; here, the cylinder values over their least
-        common denominator.
+        v holds exact integers indexed by word, base q, leftmost cell most
+        significant, as int64 or as Python ints (`_exact_dtype` of D); here,
+        the cylinder values over their least common denominator.
         """
         values = [self.cylinder(symbols_word(u)) for u in itertools.product(range(self.q), repeat=n)]
         denominator = math.lcm(*(x.denominator for x in values))
-        return np.array([int(x * denominator) for x in values], dtype=object), denominator
+        # every entry, a cylinder value times D, is at most D
+        v = np.array([int(x * denominator) for x in values], dtype=_exact_dtype(denominator))
+        return v, denominator
 
     def _image(self, rule: LocalRule, word: str) -> Fraction:
         """F mu([word]): the vector over |word| + r cells pushed onto the word."""
         v, denominator = self.vector(len(word) + rule.r)
-        return Fraction(_push(rule, v)[int(word, rule.q)], denominator)
+        return Fraction(int(_push(rule, v, denominator)[int(word, rule.q)]), denominator)
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,8 @@ class ProductMeasure(CylinderMeasure):
             extend = [[products.setdefault(x * w, len(products)) for w in weights] for x in values]
             values = list(products)
             index = np.array(extend, dtype=np.int64)[index].reshape(-1)
-        return np.array(values, dtype=object)[index], denominator**n
+        # every entry is a product of n weights, each at most D
+        return np.array(values, dtype=_exact_dtype(denominator**n))[index], denominator**n
 
     def _image(self, rule: LocalRule, word: str) -> Fraction:
         """Sum prod n[s] over the word's preimages along a transfer matrix, over D^(|word| + r).
@@ -118,15 +130,19 @@ class ProductMeasure(CylinderMeasure):
         """
         q, states = rule.q, rule.q**rule.r
         table = np.array(rule.table, dtype=np.uint8).reshape(states, q)
-        weights = np.array(self.weights[1], dtype=object)
+        denominator = self.weights[0] ** (len(word) + rule.r)
+        # the weights of the preimages of a prefix of k cells sum to at most
+        # D^(k + r), and so does every product and partial sum below
+        dtype = _exact_dtype(denominator)
+        weights = np.array(self.weights[1], dtype=dtype)
         # hits[a][state, b]: n[b] where neighborhood state*q + b maps to a, else 0
         hits = [np.where(table == a, weights, 0) for a in range(q)]
-        v = self.vector(rule.r)[0]
+        v = self.vector(rule.r)[0].astype(dtype, copy=False)
         for a in word_symbols(word, q):
             # row-major (state, b) is the neighborhood index; its last r cells,
             # the next state, are the index modulo q^r
             v = (v[:, None] * hits[a]).reshape(q, states).sum(axis=0)
-        return Fraction(int(v.sum()), self.weights[0] ** (len(word) + rule.r))
+        return Fraction(int(v.sum()), denominator)
 
     @classmethod
     def uniform(cls, q: int) -> "ProductMeasure":
@@ -258,12 +274,13 @@ def _check_vector(limit: Optional[int], what: str, q: int, exponent: int) -> Non
     check_size(MAX_VECTOR_CELLS if limit is None else limit, what, q, exponent)
 
 
-def _push(rule: LocalRule, v: np.ndarray) -> np.ndarray:
-    """Push a cylinder vector over n + r cells onto n cells: u sums v over u's preimages."""
+def _push(rule: LocalRule, v: np.ndarray, denominator: int) -> np.ndarray:
+    """Push a cylinder vector (v, D) over n + r cells onto n cells: u sums v over u's preimages."""
     q, r = rule.q, rule.r
     n = round(math.log(len(v), q)) - r
     image = _image_index(q, r, np.array([rule.table], dtype=np.int64), n)[0]
-    out = np.zeros(q**n, dtype=object)
+    # every partial sum is at most the sum of v, which is D
+    out = np.zeros(q**n, dtype=_exact_dtype(denominator))
     np.add.at(out, image, v)
     return out
 
@@ -362,9 +379,10 @@ class ContractionReport:
 def _farthest(v: np.ndarray, denominator: int, q: int, n: int) -> tuple[Fraction, str]:
     """Largest |v[u] / D - q^-n| over length-n words u, and the first u attaining it."""
     scale = q**n  # |x / D - 1 / q^n| = |x q^n - D| / (D q^n)
-    d = np.abs(v * scale - denominator)
+    # 0 <= x <= D, so both x q^n and |x q^n - D| are at most D q^n
+    d = np.abs(v.astype(_exact_dtype(denominator * scale), copy=False) * scale - denominator)
     i = int(np.argmax(d))
-    return Fraction(d[i], denominator * scale), np.base_repr(i, q).zfill(n).lower()
+    return Fraction(int(d[i]), denominator * scale), np.base_repr(i, q).zfill(n).lower()
 
 
 def check_uniform_contraction(
@@ -386,7 +404,7 @@ def check_uniform_contraction(
     _check_vector(limit, _PREIMAGES, rule.q, n + rule.r)
     _check_alphabets(rule, mu)
     v, denominator = mu.vector(n + rule.r)
-    lhs, witness_u = _farthest(_push(rule, v), denominator, rule.q, n)
+    lhs, witness_u = _farthest(_push(rule, v, denominator), denominator, rule.q, n)
     rhs, witness_w = _farthest(*mu.vector(n), rule.q, n)
     return ContractionReport(lhs, rhs, lhs <= rhs, witness_u, witness_w)
 
@@ -410,7 +428,10 @@ def check_measure_invariance(
         _check_vector(limit, _PREIMAGES, rule.q, length + rule.r)
         v, denominator = mu.vector(length + rule.r)
         base, base_denominator = mu.vector(length)
-        if np.any(_push(rule, v) * base_denominator != base * denominator):
+        # each side is at most D·D', an entry at most its own denominator
+        dtype = _exact_dtype(denominator * base_denominator)
+        image = _push(rule, v, denominator).astype(dtype, copy=False)
+        if np.any(image * base_denominator != base.astype(dtype, copy=False) * denominator):
             return False
     return True
 

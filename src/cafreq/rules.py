@@ -40,7 +40,7 @@ PREFILTER_CELLS = 1 << 16
 MAX_PAIR_VERTICES = 1 << 18
 
 #: self_compose refuses larger tables: composing one, and a pushforward's
-#: transfer matrix over it, take about 100 bytes per cell
+#: transfer matrix over it, take about 45 bytes per cell
 MAX_COMPOSED_CELLS = 1 << 23
 
 
@@ -107,9 +107,10 @@ class LocalRule:
             raise ValueError(
                 f"table must have q^(r+1) = {size_text(self.q, self.r + 1)} entries, got {n}"
             )
-        for v in self.table:
-            if not 0 <= v < self.q:
-                raise ValueError(f"table entry {v} out of range")
+        if min(self.table) < 0 or max(self.table) >= self.q:
+            # min and max decide; the scan only finds the first bad entry to name
+            bad = next(v for v in self.table if not 0 <= v < self.q)
+            raise ValueError(f"table entry {bad} out of range")
 
     def format(self) -> str:
         return f"{self.q} {self.r} {symbols_word(self.table)}"

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import cafreq
-from cafreq import interval_swap
-from cafreq.cli import main
+from cafreq import cli, interval_swap
+from cafreq.cli import build_parser, main
 from cafreq.rules import LocalRule
+
+import test_readme
 
 
 def ternary_example_descriptor():
@@ -536,8 +538,6 @@ class TestConstructionCommands:
         assert "2 rules from file" in capsys.readouterr().out
 
     def test_jobs_env_var_default(self, monkeypatch):
-        from cafreq.cli import build_parser
-
         monkeypatch.setenv("CAFREQ_JOBS", "3")
         args = build_parser().parse_args(
             ["xor-limit", "--levels", "2", "--samples", "1"]
@@ -906,3 +906,72 @@ def test_oversize_refused_at_once_with_a_bounded_message(argv, message, capsys, 
     assert len(captured.err) < 200
     assert captured.out == ""
     assert not out_path.exists()
+
+
+# every command the parser dispatches to, as its words
+LEAVES = ["rule info", "rule surjective", "correlate", "sweep", "measure pushforward",
+          "measure contraction", "fn check", "fn apply", "xor-limit"]
+
+
+def exit_output(parser, argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a parse that exits (help or refusal)."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    """build_parser(argv) adds arguments only to the command argv names."""
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_help_at_every_level_matches_the_whole_parser(self, leaf, capsys):
+        words = leaf.split()
+        lazy = build_parser([*words, "--out", "x.csv"])
+        for level in range(len(words) + 1):
+            argv = [*words[:level], "-h"]
+            whole = exit_output(build_parser(), argv, capsys)
+            assert whole[0] == 0 and whole[1].startswith("usage: cafreq")
+            assert exit_output(lazy, argv, capsys) == whole, argv
+
+    def test_other_commands_get_no_arguments(self, capsys):
+        lazy = build_parser(["sweep", "--r", "1"])
+        code, _, err = exit_output(lazy, ["correlate", "2 1 0110", "--A", "1"], capsys)
+        assert code == 2 and "unrecognized arguments" in err
+
+    def test_readme_lines_parse_to_equal_namespaces(self):
+        examples = test_readme.cli_examples()
+        assert len(examples) == 10
+        for argv in examples:
+            assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [["bogus"], ["measure"], ["measure", "bogus"], ["sweep", "--bogus"]]
+    )
+    def test_refusals_match_the_whole_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert (exc.value.code, "", err) == exit_output(build_parser(), argv, capsys)
+        assert exc.value.code == 2 and err.startswith("usage: cafreq")
+
+    def test_main_builds_the_parser_for_its_argv(self, monkeypatch):
+        seen = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: seen.append(argv) or build(argv))
+        argv = ["fn", "check", "--n", "1", "--p", "1/50"]
+        monkeypatch.setattr(sys, "argv", ["cafreq", *argv])
+        assert main() == 0 and main(argv) == 0
+        assert seen == [argv, argv]
+
+    def test_module_run_reads_sys_argv(self):
+        src = str(Path(cafreq.__file__).resolve().parent.parent)
+        argv = ["measure", "pushforward", "2 1 0110", "--measure", "bernoulli:1/4",
+                "--word", "1", "--t", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "cafreq.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "t=1: measure([1]) = 3/8 ~ 0.375\n", ""
+        )

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from cafreq import (
 )
 from cafreq import measures
 from cafreq.rng import SplitMix64
-from cafreq.rules import iterate_word, preimages, random_rule, symbols_word
+from cafreq.rules import iterate_word, preimages, random_rule, self_compose, symbols_word
 
 XOR = parse_rule("2 1 0110")
 IDENTITY2 = LocalRule.identity(2)
@@ -199,8 +200,9 @@ class TestVector:
                         v, denominator = measure.vector(n)
                         words = [symbols_word(u) for u in itertools.product(range(q), repeat=n)]
                         assert len(v) == len(words), (spec, n)
-                        for x, u in zip(v, words):
-                            assert type(x) is int
+                        # exact integers, of the dtype that the bound D selects
+                        assert v.dtype == measures._exact_dtype(denominator), (spec, n)
+                        for x, u in zip(v.tolist(), words):
                             assert x == measure.cylinder(u) * denominator, (spec, u)
 
     def test_cylinder_only_measure_gives_the_wrapped_results(self):
@@ -215,6 +217,98 @@ class TestVector:
                 assert check_measure_invariance(rule, wrapped, n) == check_measure_invariance(
                     rule, mu, n
                 )
+
+
+class TestExactDtypeSwitch:
+    """Each kernel runs on int64 below its bound's switch at 2^63 and on Python ints above.
+
+    bernoulli:1/P with P = 2^31 - 1 has weights (P - 1, 1) over D = P, and
+    D^2 < 2^63 < D^3: a vector over 2 cells is int64, one over 3 cells is
+    object, and the largest entry of each is close to its bound.
+    """
+
+    P = 2**31 - 1
+    MU = ProductMeasure.bernoulli(Fraction(1, P))
+    TWIN = explicit_twin(MU, 4)
+    SWAP = LocalRule(2, 0, (1, 0))
+
+    @pytest.fixture
+    def picks(self, monkeypatch):
+        """Every dtype `_exact_dtype` chooses, in call order."""
+        chosen = []
+        choose = measures._exact_dtype
+
+        def spy(bound):
+            chosen.append(choose(bound))
+            return chosen[-1]
+
+        monkeypatch.setattr(measures, "_exact_dtype", spy)
+        return chosen
+
+    def side(self, picks, call):
+        """call(); "int64" when every dtype it chose was int64, else "object"."""
+        picks.clear()
+        result = call()
+        assert picks
+        return result, "int64" if set(picks) == {np.int64} else "object"
+
+    def test_switch_sits_at_2_63(self):
+        assert self.P**2 < 1 << 63 < self.P**3
+        assert measures._exact_dtype((1 << 63) - 1) is np.int64
+        assert measures._exact_dtype(1 << 63) is object
+        for mu in (self.MU, self.TWIN):
+            assert mu.vector(2)[0].dtype == np.int64
+            assert mu.vector(3)[0].dtype == object
+            assert mu.vector(2)[0].max() == (self.P - 1) ** 2
+
+    def test_pushforward_on_both_sides(self, picks):
+        for length, kind in ((1, "int64"), (2, "object")):  # |w| + r = 2, 3
+            for u in _binary_words(length):
+                value, side = self.side(picks, lambda: pushforward(XOR, self.MU, u))
+                assert side == kind, u
+                assert value == enumerated_pushforward(XOR, self.MU, u)
+                assert value == pushforward(XOR, self.TWIN, u)
+
+    def test_iterate_pushforward_on_both_sides(self, picks):
+        for t, kind in ((1, "int64"), (2, "object")):  # radius t, |w| + t = t + 1
+            for u in "01":
+                value, side = self.side(picks, lambda: iterate_pushforward(XOR, self.MU, t, u))
+                assert side == kind, (t, u)
+                assert value == enumerated_pushforward(self_compose(XOR, t), self.MU, u)
+                assert value == iterate_pushforward(XOR, self.TWIN, t, u)
+
+    def test_contraction_on_both_sides(self, picks):
+        # XOR at n = 1: distances reach 2 D^2 = 2^63 - 2^33 + 2, still int64;
+        # the identity at n = 2 has int64 vectors but distances up to 4 D^2
+        cases = ((XOR, 1, "int64"), (IDENTITY2, 2, "object"), (XOR, 2, "object"))
+        for rule, n, kind in cases:
+            rep, side = self.side(picks, lambda: check_uniform_contraction(rule, self.MU, n))
+            assert side == kind, (rule, n)
+            got = (rep.lhs, rep.rhs, rep.holds, rep.witness_u, rep.witness_w)
+            assert got == reference_contraction(rule, self.MU, n)
+            assert rep == check_uniform_contraction(rule, self.TWIN, n)
+
+    def test_invariance_on_both_sides(self, picks):
+        # bound D^(l + r) D^l: identity and SWAP at l = 1 are D^2, the shift D^3
+        cases = ((IDENTITY2, 1, "int64"), (self.SWAP, 1, "int64"),
+                 (IDENTITY2, 2, "object"), (LocalRule.shift(2), 1, "object"))
+        for rule, depth, kind in cases:
+            holds, side = self.side(picks, lambda: check_measure_invariance(rule, self.MU, depth))
+            assert side == kind, (rule, depth)
+            expected = all(
+                enumerated_pushforward(rule, self.MU, u) == self.MU.cylinder(u)
+                for u in words_up_to(2, depth)
+            )
+            assert holds == expected == (rule != self.SWAP)
+            assert check_measure_invariance(rule, self.TWIN, depth) == expected
+
+    def test_block_entropy_on_both_sides(self, picks):
+        for n, kind in ((2, "int64"), (3, "object")):
+            rep, side = self.side(picks, lambda: block_entropy(self.MU, n))
+            assert side == kind, n
+            values = [float(self.MU.cylinder(u)) for u in _binary_words(n)]
+            assert rep.value == -sum(p * math.log(p) for p in values)
+            assert rep == block_entropy(self.TWIN, n)
 
 
 class TestKernelOracle:

@@ -163,6 +163,19 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_rule(bad)
 
+    @pytest.mark.parametrize(
+        "q, r, table, bad",
+        [
+            (2, 0, (0, 2), 2),
+            (2, 1, (0, 1, 5, -1), 5),  # the first in table order, not the least
+            (2, 1, (-1, 0, 5, 0), -1),
+            (3, 1, (0, 2, 2, 7, 0, 0, -4, 0, 0), 7),
+        ],
+    )
+    def test_first_bad_table_entry_is_named(self, q, r, table, bad):
+        with pytest.raises(ValueError, match=rf"^table entry {bad} out of range$"):
+            LocalRule(q, r, table)
+
 
 class TestApply:
     def test_xor_short(self):
