@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .rng import ChunkedDraws, Coin, SplitMix64, map_ranges
 from .rules import size_text
@@ -294,8 +294,7 @@ def _walk(plan: tuple, level: int, source: ChunkedDraws, i: int, want: int) -> t
     return out, i
 
 
-@dataclass(frozen=True)
-class HierarchicalSample:
+class HierarchicalSample(NamedTuple):
     bits: int  # the window packed, its first cell the highest of `length` bits
     length: int
     offsets: tuple[int, ...]  # window start offset modulo each level's block length
@@ -461,8 +460,7 @@ def _tap_cells(length: int, steps: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class CylinderEstimate:
+class CylinderEstimate(NamedTuple):
     word: str
     samples: int
     hits: int

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
-import operator
 import os
 import sys
 from collections import Counter
@@ -272,11 +270,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_measure_pushforward(args) -> int:
+    if args.t is not None and args.t_max is not None:
+        # a trajectory 0..t_max would leave --t unread
+        raise ValueError("--t and --t-max cannot be combined")
     rule = rules.parse_rule(args.rule)
     mu = measures.make_measure(args.measure, rule.q)
     if args.t_max is not None:
         _refuse_below("--t-max", args.t_max, 0)
-    t_values = range(args.t_max + 1) if args.t_max is not None else [args.t]
+        t_values = range(args.t_max + 1)
+    else:
+        t_values = [1 if args.t is None else args.t]
     # the largest step count has the largest table and the most preimages
     measures.check_iterate_pushforward(rule, mu, max(t_values), args.word, args.limit)
     rows = []
@@ -335,16 +338,14 @@ def _cmd_fn_apply(args) -> int:
         window_length=args.window_length,
         jobs=args.jobs,
     )
-    # the fields in field order, as a shallow tuple: astuple deep-copies each
-    row = operator.attrgetter(*(f.name for f in dataclasses.fields(interval_swap.SwapTrial)))
     _write_csv(
         args.out,
-        [  # one column per SwapTrial field, in field order
+        [  # one column per SwapTrial field: a trial is its own row
             "index", "occurrences", "complete_intervals", "medium_intervals",
             "rewritten_to_dense", "rewritten_to_sparse", "involution_ok",
             "occurrences_conserved", "quad_free", "max_dense_run",
         ],
-        map(row, trials),
+        trials,
     )
     bad = sum(
         not (t.involution_ok and t.occurrences_conserved and t.quad_free)
@@ -474,7 +475,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
             p.add_argument("rule")
             p.add_argument("--measure", required=True, help='e.g. "bernoulli:1/4"')
             p.add_argument("--word", required=True)
-            p.add_argument("--t", type=int, default=1)
+            p.add_argument("--t", type=int, help="step count (default 1)")
             p.add_argument("--t-max", type=int, default=None, help="emit a trajectory 0..t_max")
             p.add_argument("--limit", type=int, default=measures.DEFAULT_PUSHFORWARD_LIMIT)
             p.add_argument("--out", help="CSV output path")

@@ -12,11 +12,10 @@ Everything in this module is exact: integers and rationals only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rules import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -83,8 +82,7 @@ def parse_symbols(text: str, q: int) -> frozenset[int]:
     return normalize_symbols(word_symbols(cleaned, q), q)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Counts N_k of B-preimage neighborhoods with k symbols in A."""
 
     q: int
@@ -140,8 +138,7 @@ class Histogram:
         return self.normalized_orders(m)[m]
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     order: int
     raw: int
     normalized: Fraction
@@ -266,8 +263,7 @@ def finite_correlation(
     return total
 
 
-@dataclass(frozen=True)
-class OneDominationReport:
+class OneDominationReport(NamedTuple):
     holds: bool
     margin: int
     surjective: bool
@@ -300,8 +296,7 @@ def check_one_domination(
     )
 
 
-@dataclass(frozen=True)
-class HighDominationReport:
+class HighDominationReport(NamedTuple):
     k0: Optional[int]
     strict_at_k0: Optional[bool]
     m_star: Optional[int]
@@ -346,8 +341,7 @@ def check_high_domination(
     return HighDominationReport(k0=k0, strict_at_k0=strict, m_star=m_star)
 
 
-@dataclass(frozen=True)
-class PrefixSumReport:
+class PrefixSumReport(NamedTuple):
     holds: bool
     witness_n: Optional[int]
     surjective: bool
@@ -397,8 +391,7 @@ def average_normalized_correlation(
     return Histogram(q, r, Aset, Bset, tuple(totals)).normalized() / count
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     status: str  # "conserves" | "violates"
     witness: Optional[tuple[str, str]]  # (periodic config, its image), one period
 

@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .rng import SplitMix64, bernoulli_word, map_ranges
 from .rules import check_size, size_text
@@ -614,16 +614,14 @@ def unrank_dense_safe(params: SwapParams, length: int, index: int) -> str:
 # interval decomposition
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     start: int  # position of the opening marker occurrence
     length: int  # distance to the next occurrence (or window end if incomplete)
     kind: str  # "short" | "medium" | "long"
     complete: bool
 
 
-@dataclass(frozen=True)
-class IntervalDecomposition:
+class IntervalDecomposition(NamedTuple):
     window: str
     occurrences: tuple[int, ...]
     intervals: tuple[Interval, ...]
@@ -672,8 +670,7 @@ def decompose_intervals(window: str, params: SwapParams) -> IntervalDecompositio
 # parameter validity
 
 
-@dataclass(frozen=True)
-class SwapParamsReport:
+class SwapParamsReport(NamedTuple):
     valid: bool
     vacuous: bool  # True when no medium free-part length exists
     min_free_length: int
@@ -732,8 +729,7 @@ def check_swap_params(params: SwapParams) -> SwapParamsReport:
 # the swap map
 
 
-@dataclass(frozen=True)
-class SwapStats:
+class SwapStats(NamedTuple):
     occurrences: int
     complete: int
     medium: int
@@ -810,8 +806,7 @@ def apply_swap(window: str, params: SwapParams) -> str:
 # seeded experiment trials
 
 
-@dataclass(frozen=True)
-class SwapTrial:
+class SwapTrial(NamedTuple):
     index: int
     occurrences: int
     complete: int

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -367,8 +367,7 @@ def pushforward_mass_from_histogram(rule: LocalRule, A: SymbolsLike, p) -> Fract
     return total
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     holds: bool
@@ -436,8 +435,7 @@ def check_measure_invariance(
     return True
 
 
-@dataclass(frozen=True)
-class BlockEntropyReport:
+class BlockEntropyReport(NamedTuple):
     n: int
     value: float  # H_n in nats
     rate: float  # H_n / n

@@ -742,10 +742,13 @@ def test_sweep_vacuous_arguments_refused_before_output(argv, message, capsys, tm
         (["correlate", "2 1 0110", "--A", "1", "--m", "-1"], "--m must be at least 0, got -1"),
         (["measure", "pushforward", "2 1 0110", "--measure", "uniform", "--word", "1",
           "--t-max", "-1"], "--t-max must be at least 0, got -1"),
+        # a trajectory 0..t_max would leave --t unread
+        (["measure", "pushforward", "2 1 0110", "--measure", "uniform", "--word", "1",
+          "--t", "10", "--t-max", "2"], "--t and --t-max cannot be combined"),
         (["xor-limit", "--levels", "1", "--samples", "2"],
          "no n-values to estimate: the default 1..0 is empty for --levels 1"),
     ],
-    ids=["correlate-m", "pushforward-t-max", "xor-limit-levels-1"],
+    ids=["correlate-m", "pushforward-t-max", "pushforward-t-and-t-max", "xor-limit-levels-1"],
 )
 def test_vacuous_arguments_refused_before_output(argv, message, capsys, tmp_path):
     out_path = tmp_path / "out.csv"
