@@ -472,7 +472,7 @@ def conserves_symbols(
         _check_max_period(q, max_period)
     Aset = normalize_symbols(A, q)
     qr = q**r
-    g = [(table[w] in Aset) - (w // qr in Aset) for w in range(len(table))]
+    g = [(a in Aset) - (w // qr in Aset) for w, a in enumerate(table)]
     potential = [0] * qr
     for v in range(1, qr):
         potential[v] = potential[v // q] + g[v]

@@ -129,7 +129,7 @@ class ProductMeasure(CylinderMeasure):
         extends each by every cell b whose neighborhood state*q + b maps to a.
         """
         q, states = rule.q, rule.q**rule.r
-        table = np.array(rule.table, dtype=np.uint8).reshape(states, q)
+        table = rule.array.reshape(states, q)
         denominator = self.weights[0] ** (len(word) + rule.r)
         # the weights of the preimages of a prefix of k cells sum to at most
         # D^(k + r), and so does every product and partial sum below
@@ -278,7 +278,7 @@ def _push(rule: LocalRule, v: np.ndarray, denominator: int) -> np.ndarray:
     """Push a cylinder vector (v, D) over n + r cells onto n cells: u sums v over u's preimages."""
     q, r = rule.q, rule.r
     n = round(math.log(len(v), q)) - r
-    image = _image_index(q, r, np.array([rule.table], dtype=np.int64), n)[0]
+    image = _image_index(q, r, rule.array[None], n)[0]
     # every partial sum is at most the sum of v, which is D
     out = np.zeros(q**n, dtype=_exact_dtype(denominator))
     np.add.at(out, image, v)

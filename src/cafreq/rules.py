@@ -9,6 +9,10 @@ Words are strings of base-q digits (0-9 then a-z, so q <= 36), leftmost
 symbol first.  Rule tables are indexed by neighborhoods in lexicographic
 order with the leftmost cell most significant, and the text form of a rule
 is "q r digits" with exactly q^(r+1) table digits.
+
+A LocalRule stores its table as bytes, one symbol per byte.  numpy code reads
+it through `LocalRule.array`, a read-only uint8 view, and hands tables back
+with `ndarray.tobytes()`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .rng import SplitMix64, map_ranges
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(DIGITS)
+
+#: every symbol value, and a bytes.translate table from each to its digit
+_SYMBOLS = bytes(range(MAX_ALPHABET))
+_TO_DIGITS = bytes.maketrans(_SYMBOLS, DIGITS.encode())
 
 #: refuse to enumerate rule spaces larger than this (tables, not rules tested)
 DEFAULT_ENUMERATION_LIMIT = 1 << 26
@@ -40,7 +48,7 @@ PREFILTER_CELLS = 1 << 16
 MAX_PAIR_VERTICES = 1 << 18
 
 #: self_compose refuses larger tables: composing one, and a pushforward's
-#: transfer matrix over it, take about 45 bytes per cell
+#: transfer matrix over it, take about 35 bytes per cell
 MAX_COMPOSED_CELLS = 1 << 23
 
 
@@ -90,46 +98,55 @@ def symbols_word(symbols: Iterable[int]) -> str:
 
 @dataclass(frozen=True)
 class LocalRule:
-    """A local rule: alphabet size q, radius r, and the full truth table."""
+    """A local rule: alphabet size q, radius r, and the full truth table (ints, kept as bytes)."""
 
     q: int
     r: int
-    table: tuple[int, ...]
+    table: bytes
 
     def __post_init__(self):
         if not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
         if self.r < 0:
             raise ValueError("radius must be >= 0")
-        n = len(self.table)
+        n = len(self.table)  # a sized sequence, which the error path below reads again
+        if not isinstance(self.table, bytes):
+            try:  # entry by entry: bytes() of an array would copy its raw buffer
+                object.__setattr__(self, "table", bytes(iter(self.table)))
+            except ValueError:  # an entry outside range(256)
+                bad = next(v for v in self.table if not 0 <= v < self.q)
+                raise ValueError(f"table entry {bad} out of range") from None
         # q^(r+1) > n once r + 1 reaches n's bit length: refused unbuilt
         if self.r + 1 >= n.bit_length() or self.q ** (self.r + 1) != n:
             raise ValueError(
                 f"table must have q^(r+1) = {size_text(self.q, self.r + 1)} entries, got {n}"
             )
-        if min(self.table) < 0 or max(self.table) >= self.q:
-            # min and max decide; the scan only finds the first bad entry to name
-            bad = next(v for v in self.table if not 0 <= v < self.q)
-            raise ValueError(f"table entry {bad} out of range")
+        if bad := self.table.translate(None, _SYMBOLS[: self.q]):  # the non-symbols, in order
+            raise ValueError(f"table entry {bad[0]} out of range")
+
+    @property
+    def array(self) -> np.ndarray:
+        """The table as a read-only uint8 array sharing its bytes."""
+        return np.frombuffer(self.table, np.uint8)
 
     def format(self) -> str:
-        return f"{self.q} {self.r} {symbols_word(self.table)}"
+        return f"{self.q} {self.r} {self.table.translate(_TO_DIGITS).decode()}"
 
     def __str__(self) -> str:
         return self.format()
 
     @classmethod
     def identity(cls, q: int) -> "LocalRule":
-        return cls(q, 0, tuple(range(q)))
+        return cls(q, 0, _SYMBOLS[:q])
 
     @classmethod
     def shift(cls, q: int) -> "LocalRule":
-        return cls(q, 1, tuple(b for _ in range(q) for b in range(q)))
+        return cls(q, 1, _SYMBOLS[:q] * q)
 
     @classmethod
     def xor(cls) -> "LocalRule":
         """The two-neighbor binary XOR rule f(a, b) = a + b mod 2."""
-        return cls(2, 1, (0, 1, 1, 0))
+        return cls(2, 1, b"\0\1\1\0")
 
 
 def parse_rule(text: str) -> LocalRule:
@@ -144,7 +161,7 @@ def parse_rule(text: str) -> LocalRule:
         raise ValueError(f"bad alphabet size or radius in {text!r}") from exc
     if not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}]")
-    return LocalRule(q, r, tuple(word_symbols(parts[2], q)))
+    return LocalRule(q, r, word_symbols(parts[2], q))
 
 
 def format_rule(rule: LocalRule) -> str:
@@ -219,9 +236,8 @@ def compose(f: LocalRule, g: LocalRule) -> LocalRule:
     """
     if f.q != g.q:
         raise ValueError("cannot compose rules over different alphabets")
-    inner = _image_index(g.q, g.r, np.array([g.table], dtype=np.int64), f.r + 1)[0]
-    table = np.array(f.table, dtype=np.uint8)[inner]
-    return LocalRule(f.q, f.r + g.r, tuple(table.tolist()))
+    inner = _image_index(g.q, g.r, g.array[None], f.r + 1)[0]
+    return LocalRule(f.q, f.r + g.r, f.array[inner].tobytes())
 
 
 def check_composed_size(q: int, r: int, t: int) -> None:
@@ -252,10 +268,7 @@ def self_compose(rule: LocalRule, t: int) -> LocalRule:
 
 def is_balanced(rule: LocalRule) -> bool:
     """True iff every symbol has exactly q^r preimage neighborhoods."""
-    counts = [0] * rule.q
-    for v in rule.table:
-        counts[v] += 1
-    return all(c == rule.q ** rule.r for c in counts)
+    return all(rule.table.count(s) == rule.q**rule.r for s in range(rule.q))
 
 
 def is_surjective(rule: LocalRule) -> bool:
@@ -274,7 +287,7 @@ def is_surjective(rule: LocalRule) -> bool:
     check_size(MAX_PAIR_VERTICES, "q^(2r) = {size} pair-graph vertices", rule.q, 2 * rule.r)
     if not is_balanced(rule):
         return False
-    return bool(_permutive_rows(rule.q, np.array([rule.table]))[0]) or _pair_graph_surjective(rule)
+    return bool(_permutive_rows(rule.q, rule.array[None])[0]) or _pair_graph_surjective(rule)
 
 
 def _permutive_rows(q: int, tables: np.ndarray) -> np.ndarray:
@@ -286,7 +299,7 @@ def _permutive_rows(q: int, tables: np.ndarray) -> np.ndarray:
     permutation iff the OR of its symbols' bits 1 << s sets all q bits.
     """
     rows, qr = len(tables), tables.shape[1] // q
-    bits = np.left_shift(1, tables)
+    bits = np.left_shift(1, tables, dtype=np.int64)  # q > 8 bits overflow a uint8
     full = (1 << q) - 1
     right = np.bitwise_or.reduce(bits.reshape(rows, qr, q), axis=2) == full
     left = np.bitwise_or.reduce(bits.reshape(rows, q, qr), axis=1) == full
@@ -374,15 +387,12 @@ def rule_from_index(q: int, r: int, index: int) -> LocalRule:
     table = [0] * entries
     for pos in range(entries - 1, -1, -1):
         index, table[pos] = divmod(index, q)
-    return LocalRule(q, r, tuple(table))
+    return LocalRule(q, r, table)
 
 
 def rule_index(rule: LocalRule) -> int:
-    """Position of the rule in lexicographic table order."""
-    index = 0
-    for v in rule.table:
-        index = index * rule.q + v
-    return index
+    """Position in lexicographic table order: the digits in base q, under int()'s digit limit."""
+    return int(rule.table.translate(_TO_DIGITS), rule.q)
 
 
 def enumerate_rules(
@@ -394,7 +404,7 @@ def enumerate_rules(
     """
     check_rule_space(q, r, limit)
     for table in itertools.product(range(q), repeat=q ** (r + 1)):
-        yield LocalRule(q, r, table)
+        yield LocalRule(q, r, bytes(table))
 
 
 def check_rule_space(q: int, r: int, limit: int) -> int:
@@ -477,7 +487,7 @@ def _balanced_blocks(q: int, r: int, lo: int, hi: int) -> Iterator[np.ndarray]:
         if min(need) < 0:
             continue
         rows = np.flatnonzero((tail_counts == need).all(axis=1))
-        tables = np.empty((len(rows), cells), dtype=np.int64)
+        tables = np.empty((len(rows), cells), dtype=np.uint8)
         tables[:, : cells - k] = head
         tables[:, cells - k :] = tails[rows]
         for length in (2, 3):
@@ -501,9 +511,8 @@ def _surjective_in_range(q: int, r: int, lo: int, hi: int) -> list:
         (rest,) = np.nonzero(~keep)
         for length in (4, 5):
             rest = rest[_words_balanced(q, r, tables[rest], length)]
-        candidates = [LocalRule(q, r, tuple(table)) for table in tables[rest].tolist()]
-        keep[rest] = [_pair_graph_surjective(rule) for rule in candidates]
-        found += [LocalRule(q, r, tuple(table)) for table in tables[keep].tolist()]
+        keep[rest] = [_pair_graph_surjective(LocalRule(q, r, t.tobytes())) for t in tables[rest]]
+        found += [LocalRule(q, r, t.tobytes()) for t in tables[keep]]
     return found
 
 

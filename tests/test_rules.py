@@ -81,7 +81,7 @@ def subset_construction_surjective(rule):
 
 def _pairs_balanced(rule):
     """Every word of length 2 has exactly q^r preimages."""
-    return rules._words_balanced(rule.q, rule.r, np.array([rule.table]), 2)[0]
+    return rules._words_balanced(rule.q, rule.r, rule.array[None], 2)[0]
 
 
 def permutive_tables(q, r):
@@ -134,19 +134,37 @@ NONSURJ_R3 = parse_rule("2 3 0000100111110011")
 
 class TestParsing:
     def test_xor_table(self):
-        assert XOR.table == (0, 1, 1, 0)
+        assert tuple(XOR.table) == (0, 1, 1, 0)
         assert XOR.q == 2 and XOR.r == 1
 
     def test_identity(self):
-        assert IDENTITY2.table == (0, 1)
+        assert tuple(IDENTITY2.table) == (0, 1)
         assert IDENTITY2 == LocalRule.identity(2)
 
     def test_or_rule(self):
-        assert OR.table == (0, 1, 1, 1)
+        assert tuple(OR.table) == (0, 1, 1, 1)
 
     def test_roundtrip(self):
         for text in ("2 1 0110", "3 0 120", "2 2 01101001"):
             assert format_rule(parse_rule(text)) == text
+
+    def test_table_forms(self):
+        # an int array is stored entry by entry, never as its raw buffer,
+        # which for these 8 int64 entries is 64 bytes
+        entries = (0, 1, 1, 0, 1, 0, 0, 1)
+        rule = LocalRule(2, 2, np.array(entries))
+        assert tuple(rule.table) == entries and rule.format() == "2 2 01101001"
+        with pytest.raises(ValueError, match=r" = 64 entries, got 8$"):
+            LocalRule(2, 5, np.array(entries))
+        with pytest.raises(ValueError, match=r"^table entry 300 out of range$"):
+            LocalRule(2, 1, np.array([0, 1, 300, -1]))
+        with pytest.raises(TypeError):  # unsized: a bad entry could not be named
+            LocalRule(2, 1, iter(entries[:4]))
+        # tuple and bytes tables give one rule, read through a read-only view
+        for other in (LocalRule(2, 2, entries), LocalRule(2, 2, bytes(entries))):
+            assert other == rule and hash(other) == hash(rule)
+        assert rule.array.tolist() == list(entries) and rule.array.base is rule.table
+        assert rule.array.flags.writeable is False
 
     @pytest.mark.parametrize(
         "bad",
@@ -250,12 +268,12 @@ class TestCompose:
         assert sq.r == 2
         # table of a xor c over all abc
         expected = tuple((w >> 2) ^ (w & 1) for w in range(8))
-        assert sq.table == expected
+        assert tuple(sq.table) == expected
 
     def test_shift_squared(self):
         sq = compose(SHIFT2, SHIFT2)
         assert sq.r == 2
-        assert sq.table == tuple(w & 1 for w in range(8))
+        assert tuple(sq.table) == tuple(w & 1 for w in range(8))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
@@ -280,13 +298,14 @@ class TestCompose:
                     assert compose(f, g) == image_compose(f, g)
 
     def test_image_index_matches_the_sliding_window(self):
-        # several random tables per call, word by word against rules._image
+        # several random tables per call, word by word against rules._image;
+        # at q = 17 an image index over 2 cells passes 255, past a uint8
         rng = SplitMix64(4343)
-        for q in (2, 3):
-            for r in range(4):
-                for length in range(4):
+        for q, radii, lengths in ((2, 4, 4), (3, 4, 4), (17, 2, 3)):
+            for r in range(radii):
+                for length in range(lengths):
                     pool = [random_rule(q, r, rng) for _ in range(3)]
-                    tables = np.array([rule.table for rule in pool], dtype=np.int64)
+                    tables = np.array([rule.array for rule in pool])
                     got = rules._image_index(q, r, tables, length)
                     assert got.shape == (3, q ** (r + length))
                     for rule, row in zip(pool, got.tolist()):
@@ -345,7 +364,7 @@ class TestSurjectivity:
     def test_two_neighbor_census(self):
         # the six surjective two-neighbor binary rules: a, not a, b, not b,
         # a xor b, not (a xor b)
-        surj = {r.table for r in enumerate_rules(2, 1) if is_surjective(r)}
+        surj = {tuple(r.table) for r in enumerate_rules(2, 1) if is_surjective(r)}
         assert surj == {
             (0, 0, 1, 1),
             (1, 1, 0, 0),
@@ -411,9 +430,9 @@ class TestSurjectivity:
         tables = permutive_tables(q, r)
         assert len(tables) == count
         every = list(enumerate_rules(q, r))
-        flags = rules._permutive_rows(q, np.array([rule.table for rule in every]))
+        flags = rules._permutive_rows(q, np.array([rule.array for rule in every]))
         for rule, flag in zip(every, flags.tolist()):
-            assert flag == (rule.table in tables), rule.format()
+            assert flag == (tuple(rule.table) in tables), rule.format()
         for table in tables:
             assert rules._pair_graph_surjective(LocalRule(q, r, table))
 
@@ -427,6 +446,8 @@ class TestSurjectivity:
     def test_largest_accepted_sizes(self):
         # q = 36 at r = 1 and binary rules at r = 9 are within the cap
         assert is_surjective(LocalRule.shift(36))
+        # the permutive exit takes it: 36 symbol bits overflow a uint8
+        assert rules._permutive_rows(36, LocalRule.shift(36).array[None]).all()
         assert is_surjective(self_compose(XOR, 9))
         assert not is_surjective(LocalRule(2, 9, tuple(0 for _ in range(2**10))))
 
@@ -459,7 +480,7 @@ class TestSurjectivity:
 
     def test_composites_beyond_the_subset_construction(self):
         a, b, c = SURJ_R3
-        tables = np.array([rule.table for rule in (a, b, c, NONSURJ_R3)])
+        tables = np.array([rule.array for rule in (a, b, c, NONSURJ_R3)])
         assert not rules._permutive_rows(2, tables).any()
         assert is_surjective(compose(a, b))  # r = 6
         assert is_surjective(compose(compose(a, b), c))  # r = 9
@@ -553,7 +574,7 @@ class TestEnumeration:
             for table in block.tolist()
         }
         expected = {
-            rule.table
+            tuple(rule.table)
             for rule in enumerate_rules(q, r)
             if all(
                 len(preimages(rule, u)) == q**r
