@@ -16,9 +16,12 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from importlib import import_module
+
+import numpy as np
 
 from . import block_sampler, interval_swap, measures, rules
 from .rng import derive_seed
@@ -142,43 +145,74 @@ def _cmd_correlate(args) -> int:
 
 SweepRows = Iterator[tuple[bool, tuple]]
 
-#: per-rule sweep checks: name -> (CSV columns after rule,q,r; rows_fn), where
-#: rows_fn(rule, args) yields (ok, row) and each row that is not ok counts as
-#: a violation
-SWEEP_CHECKS: dict[str, tuple[tuple[str, ...], Callable]] = {}
+#: per-rule sweep checks: name -> (CSV columns after rule,q,r; histograms;
+#: rows_fn), where rows_fn(rule, counts, args) yields (ok, row) and each row
+#: that is not ok counts as a violation.  For a check registered with
+#: histograms=True, `counts` holds the rule's histogram counts at A = B for
+#: each set of `_labelled_subsets(rule.q)`; otherwise it is empty.
+SWEEP_CHECKS: dict[str, tuple[tuple[str, ...], bool, Callable]] = {}
 
 
-def _sweep_check(name: str, *columns: str):
+def _sweep_check(name: str, *columns: str, histograms: bool = True):
     def register(rows_fn):
-        SWEEP_CHECKS[name] = (columns, rows_fn)
+        SWEEP_CHECKS[name] = (columns, histograms, rows_fn)
         return rows_fn
 
     return register
 
 
+@cache
+def _labelled_subsets(q: int) -> tuple[tuple[frozenset[int], str], ...]:
+    """Every proper symbol set of the alphabet, with its CSV label."""
+    return tuple((A, _set_label(A)) for A in correlation.proper_subsets(q))
+
+
+def _sweep_counts(swept: Sequence[rules.LocalRule]) -> list[tuple[tuple[int, ...], ...]]:
+    """Each swept rule's histogram counts at A = B, per proper symbol set.
+
+    The rules are grouped by (q, r), and each group's tables are counted
+    with one `correlation.histograms` call per set.
+    """
+    spaces: dict[tuple[int, int], list[int]] = {}
+    for i, rule in enumerate(swept):
+        spaces.setdefault((rule.q, rule.r), []).append(i)
+    out: list = [None] * len(swept)
+    for (q, r), members in spaces.items():
+        tables = np.frombuffer(b"".join(swept[i].table for i in members), np.uint8)
+        tables = tables.reshape(len(members), q ** (r + 1))
+        per_set = [
+            list(map(tuple, correlation.histograms(q, r, tables, A, A).tolist()))
+            for A, _ in _labelled_subsets(q)
+        ]
+        for i, counts in zip(members, zip(*per_set)):
+            out[i] = counts
+    return out
+
+
 @_sweep_check("one_domination", "A", "B", "C_raw", "C_identity", "margin", "holds")
-def _one_domination_rows(rule: rules.LocalRule, args) -> SweepRows:
-    for A in correlation.proper_subsets(rule.q):
-        c1 = correlation.correlation(rule, A, A)
+def _one_domination_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
+    for (A, label), n in zip(_labelled_subsets(rule.q), counts):
+        c1 = sum(k * count for k, count in enumerate(n))  # the order-1 moment
         ident = correlation.identity_correlation(rule.q, len(A), rule.r)
         holds = c1 <= ident
-        yield holds, (_set_label(A), _set_label(A), c1, ident, ident - c1, holds)
+        yield holds, (label, label, c1, ident, ident - c1, holds)
 
 
 @_sweep_check("high_domination", "A", "k0", "strict_at_k0", "m_star")
-def _high_domination_rows(rule: rules.LocalRule, args) -> SweepRows:
-    for A in correlation.proper_subsets(rule.q):
-        rep = correlation.check_high_domination(rule, A, m_max=args.m_max)
+def _high_domination_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
+    for (A, label), n in zip(_labelled_subsets(rule.q), counts):
+        id_counts = correlation.identity_counts(rule.q, rule.r, len(A))
+        rep = correlation.high_domination(n, id_counts, args.m_max)
         yield rep.m_star is not None, (
-            _set_label(A),
+            label,
             rep.k0 if rep.k0 is not None else "",
             rep.strict_at_k0 if rep.strict_at_k0 is not None else "",
             rep.m_star if rep.m_star is not None else "",
         )
 
 
-@_sweep_check("prefix_sums", "holds", "witness_n")
-def _prefix_sums_rows(rule: rules.LocalRule, args) -> SweepRows:
+@_sweep_check("prefix_sums", "holds", "witness_n", histograms=False)
+def _prefix_sums_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
     rep = correlation.check_prefix_sum_conjecture(rule)
     yield rep.holds, (rep.holds, rep.witness_n if rep.witness_n is not None else "")
 
@@ -192,13 +226,13 @@ def _prefix_sums_rows(rule: rules.LocalRule, args) -> SweepRows:
     "witness_config",
     "witness_image",
 )
-def _conservation_rows(rule: rules.LocalRule, args) -> SweepRows:
-    for A in correlation.proper_subsets(rule.q):
-        by_histogram = correlation.histogram_matches_identity(rule, A)
+def _conservation_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
+    for (A, label), n in zip(_labelled_subsets(rule.q), counts):
+        by_histogram = n == correlation.identity_counts(rule.q, rule.r, len(A))
         witness = correlation.conserves_symbols(rule, A, args.max_period).witness
         agree = by_histogram == (witness is None)
         yield agree, (
-            _set_label(A),
+            label,
             by_histogram,
             witness is None,
             agree,
@@ -237,9 +271,11 @@ def _cmd_sweep(args) -> int:
     if not args.rules_file:
         for r in range(args.r + 1):  # every radius's refusal comes before any enumeration
             rules.check_rule_space(args.q, r, args.limit)
+        if args.check == "conservation":
+            correlation.check_max_period(args.q, args.max_period)
     if args.check == "averages":
         return _sweep_averages(args)
-    columns, rows_fn = SWEEP_CHECKS[args.check]
+    columns, histograms, rows_fn = SWEEP_CHECKS[args.check]
     if args.rules_file:
         swept = [rules.parse_rule(text) for text in _read_descriptors(args.rules_file)]
         kind = "rules from file"
@@ -250,11 +286,12 @@ def _cmd_sweep(args) -> int:
             for rule in rules.surjective_rules(args.q, r, args.limit, args.jobs)
         ]
         kind = "surjective rules"
+    counts = _sweep_counts(swept) if histograms else [()] * len(swept)
     violations = 0
     rows = []
-    for rule in swept:
+    for rule, rule_counts in zip(swept, counts):
         prefix = (rule.format(), rule.q, rule.r)
-        for ok, row in rows_fn(rule, args):
+        for ok, row in rows_fn(rule, rule_counts, args):
             violations += not ok
             rows.append(prefix + row)
     _write_csv(args.out, ["rule", "q", "r", *columns], rows)

@@ -17,6 +17,9 @@ from functools import cache, lru_cache
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
+from . import rules
 from .rules import (
     DEFAULT_ENUMERATION_LIMIT,
     LocalRule,
@@ -178,6 +181,40 @@ def histogram(
     return Histogram(q, r_eff, Aset, Bset, tuple(counts))
 
 
+def histograms(
+    q: int, r: int, tables: np.ndarray, A: SymbolsLike, B: SymbolsLike
+) -> np.ndarray:
+    """The histogram counts of every row of `tables`, one row of r + 2 each.
+
+    Each row of the (N, q^(r+1)) uint8 array is one radius-r rule table;
+    row i of the (N, r + 2) int64 result is `histogram(rule_i, A, B).counts`.
+    The counts are the product of the in-B indicator of the cells with the
+    one-hot of their A-counts (`_a_counts`), taken as one bincount of the
+    in-B cells' A-counts offset by r + 2 per row.  Rows go in slices of at
+    most max(1, rules.PREFILTER_CELLS // q^(r+1)).  Refuses what `histogram`
+    does at r_eff = r, and rows of another width.
+    """
+    cells = q ** (r + 1)
+    check_size(MAX_SCAN_WORDS, "q^(r_eff+1) = {q}^{e}", q, r + 1)
+    if tables.ndim != 2 or tables.shape[1] != cells:
+        raise ValueError(f"tables must have rows of q^(r+1) = {cells} entries, got {tables.shape}")
+    Aset = normalize_symbols(A, q)
+    Bset = normalize_symbols(B, q)
+    a_counts = _a_counts if cells <= CACHED_NEIGHBORHOODS else _a_counts.__wrapped__
+    in_b = np.zeros(q, dtype=bool)
+    in_b[list(Bset)] = True
+    index = np.array(a_counts(q, r, Aset), dtype=np.int64)
+    step = max(1, rules.PREFILTER_CELLS // cells)
+    out = np.empty((len(tables), r + 2), dtype=np.int64)
+    for lo in range(0, len(tables), step):
+        hit = in_b[tables[lo : lo + step]]
+        rows = len(hit)
+        offsets = np.arange(rows, dtype=np.int64)[:, None] * (r + 2)
+        counts = np.bincount((index + offsets)[hit], minlength=rows * (r + 2))
+        out[lo : lo + rows] = counts.reshape(rows, r + 2)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _a_counts(q: int, r: int, A: frozenset[int]) -> tuple[int, ...]:
     """The number of A-symbols in each neighborhood of r + 1 cells, in table order."""
@@ -221,7 +258,7 @@ def identity_correlation(q: int, a_size: int, r: int) -> int:
 
 
 @cache
-def _identity_counts(q: int, r: int, a: int) -> tuple[int, ...]:
+def identity_counts(q: int, r: int, a: int) -> tuple[int, ...]:
     """The identity's histogram at radius r for A = B with |A| = a.
 
     A neighborhood maps into A iff its first cell is in A, so it has k >= 1
@@ -320,11 +357,17 @@ def check_high_domination(
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     check_order(m_max)
-    r = rule.r
     h_rule = histogram(rule, A, A)
-    diffs = [i - f for f, i in zip(h_rule.counts, _identity_counts(rule.q, r, len(h_rule.A)))]
+    return high_domination(h_rule.counts, identity_counts(rule.q, rule.r, len(h_rule.A)), m_max)
+
+
+def high_domination(
+    counts: Sequence[int], id_counts: Sequence[int], m_max: int
+) -> HighDominationReport:
+    """k0 and m_star of `check_high_domination` from the rule's and the identity's counts."""
+    diffs = [i - f for f, i in zip(counts, id_counts)]
     k0 = None
-    for k in range(r + 1, -1, -1):
+    for k in range(len(diffs) - 1, -1, -1):
         if diffs[k] != 0:
             k0 = k
             break
@@ -356,7 +399,7 @@ def check_prefix_sum_conjecture(rule: LocalRule) -> PrefixSumReport:
     if rule.q != 2:
         raise ValueError("prefix-sum check is defined for binary rules")
     h_rule = histogram(rule, [1], [1])
-    id_counts = _identity_counts(2, rule.r, 1)
+    id_counts = identity_counts(2, rule.r, 1)
     acc_rule = 0
     acc_id = 0
     for n in range(rule.r + 2):
@@ -399,7 +442,7 @@ class ConservationReport(NamedTuple):
 def histogram_matches_identity(rule: LocalRule, A: SymbolsLike) -> bool:
     """Histogram equality with the identity rule at the rule's radius."""
     h_rule = histogram(rule, A, A)
-    return h_rule.counts == _identity_counts(rule.q, rule.r, len(h_rule.A))
+    return h_rule.counts == identity_counts(rule.q, rule.r, len(h_rule.A))
 
 
 def _periodic_image(rule: LocalRule, syms: Sequence[int]) -> list[int]:
@@ -423,14 +466,15 @@ def find_conservation_violation(
     Refuses max_period < 1, and q^max_period > MAX_SCAN_WORDS before scanning.
     """
     q = rule.q
-    _check_max_period(q, max_period)
+    check_max_period(q, max_period)
     configs = (
         syms for p in range(1, max_period + 1) for syms in itertools.product(range(q), repeat=p)
     )
     return _first_violation(rule, normalize_symbols(A, q), configs)
 
 
-def _check_max_period(q: int, max_period: int) -> None:
+def check_max_period(q: int, max_period: int) -> None:
+    """Refuse a period bound below 1, or q^max_period over MAX_SCAN_WORDS, before any scan."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     check_size(MAX_SCAN_WORDS, "q^max_period = {q}^{e}", q, max_period)
@@ -469,7 +513,7 @@ def conserves_symbols(
     """
     q, r, table = rule.q, rule.r, rule.table
     if max_period is not None:
-        _check_max_period(q, max_period)
+        check_max_period(q, max_period)
     Aset = normalize_symbols(A, q)
     qr = q**r
     g = [(a in Aset) - (w // qr in Aset) for w, a in enumerate(table)]

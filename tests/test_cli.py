@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import itertools
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,16 @@ import pytest
 import cafreq
 from cafreq import cli, interval_swap
 from cafreq.cli import build_parser, main
-from cafreq.rules import LocalRule
+from cafreq.correlation import (
+    check_high_domination,
+    check_prefix_sum_conjecture,
+    conserves_symbols,
+    correlation,
+    histogram_matches_identity,
+    identity_correlation,
+    proper_subsets,
+)
+from cafreq.rules import LocalRule, parse_rule
 
 import test_readme
 
@@ -261,6 +272,91 @@ class TestSweep:
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "07cd2184f5317bb4e07a4cb1b7c025365f446a901688b26033b4c57dc1129b86"
         )
+
+    # two spaces interleaved with a third: a sweep groups rules by (q, r)
+    # but must write its rows in file order
+    INTERLEAVED = ["2 1 0110", "3 0 120", "2 2 00011110", "2 1 0101", "3 0 210"]
+
+    @staticmethod
+    def expected_rows(check, rule):
+        """The check's CSV rows for one rule, from the library's per-rule functions."""
+        q, r = rule.q, rule.r
+        if check == "prefix_sums":
+            rep = check_prefix_sum_conjecture(rule)
+            rows = [(rep.holds, rep.witness_n)]
+        elif check == "one_domination":
+            rows = []
+            for A in proper_subsets(q):
+                c1, ident = correlation(rule, A, A), identity_correlation(q, len(A), r)
+                rows.append((A, A, c1, ident, ident - c1, c1 <= ident))
+        elif check == "high_domination":
+            reports = [(A, check_high_domination(rule, A)) for A in proper_subsets(q)]
+            rows = [(A, rep.k0, rep.strict_at_k0, rep.m_star) for A, rep in reports]
+        else:
+            rows = []
+            for A in proper_subsets(q):
+                by_histogram = histogram_matches_identity(rule, A)
+                witness = conserves_symbols(rule, A, 5).witness or ("", "")
+                by_search = witness == ("", "")
+                rows.append((A, by_histogram, by_search, by_histogram == by_search, *witness))
+
+        def text(v):
+            if isinstance(v, frozenset):
+                return "".join(str(s) for s in sorted(v))
+            return "" if v is None else str(v)
+
+        return [[rule.format(), str(q), str(r), *map(text, row)] for row in rows]
+
+    @pytest.mark.parametrize(
+        "check", ["one_domination", "high_domination", "prefix_sums", "conservation"]
+    )
+    def test_interleaved_rules_file_rows_in_file_order(self, check, capsys, tmp_path):
+        descriptors = [
+            d for d in self.INTERLEAVED if check != "prefix_sums" or d.startswith("2 ")
+        ]
+        path = tmp_path / "rules.txt"
+        path.write_text("\n".join(descriptors) + "\n")
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--check", check, "--r", "0", "--max-period", "5",
+                "--rules-file", str(path), "--out", str(out_path)]
+        assert main(argv) in (0, 1)
+        with open(out_path, newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        want = [row for d in descriptors for row in self.expected_rows(check, parse_rule(d))]
+        assert got == want
+        assert f"{len(descriptors)} rules from file" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "check, per_rule",
+        [("one_domination", 0), ("high_domination", 0), ("conservation", 0), ("prefix_sums", 1)],
+    )
+    def test_sweep_counts_each_space_as_one_array(self, check, per_rule, capsys, monkeypatch):
+        module = cli.correlation
+        calls = Counter()
+
+        def spy(name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy("histogram")
+        spy("check_high_domination")
+        assert main(["sweep", "--q", "2", "--r", "2", "--check", check]) == 0
+        assert "38 surjective rules" in capsys.readouterr().out  # 2 + 6 + 30
+        assert calls["histogram"] == 38 * per_rule
+        assert calls["check_high_domination"] == 0
+
+    def test_default_max_period_refuses_only_conservation(self, capsys):
+        # 5^12 periodic configurations exceed the scan limit; no other check scans
+        for check in ("one_domination", "high_domination"):
+            assert main(["sweep", "--q", "5", "--r", "0", "--check", check]) == 0
+            assert "0 violations / 120 surjective rules" in capsys.readouterr().out
+        assert main(["sweep", "--q", "5", "--r", "0", "--check", "conservation"]) == 2
+        assert "q^max_period = 5^12 exceeds limit" in capsys.readouterr().err
 
 
 class TestMeasureCommands:
@@ -818,8 +914,10 @@ def test_pushforward_trajectory_refused_before_output(argv, message, capsys, tmp
          "q^(q^(r+1)) = 4294967296 exceeds limit 67108864"),
         (["--q", "2", "--r", "2", "--check", "high_domination", "--m-max", "100000"],
          "correlation order 100000 exceeds limit 512"),
+        (["--q", "2", "--r", "3", "--check", "conservation", "--max-period", "25"],
+         "q^max_period = 2^25 exceeds limit 16777216"),
     ],
-    ids=["index-space", "limit", "q1", "q0", "q37", "averages", "m-max"],
+    ids=["index-space", "limit", "q1", "q0", "q37", "averages", "m-max", "max-period"],
 )
 def test_sweep_rule_space_refused_before_enumeration(argv, message, capsys, tmp_path, monkeypatch):
     def no_enumeration(*args):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from importlib import import_module
 from math import comb
 
+import numpy as np
 import pytest
 
 from cafreq import (
@@ -29,10 +30,12 @@ from cafreq.correlation import (
     average_normalized_correlation,
     find_conservation_violation,
     histogram_matches_identity,
+    histograms,
     parse_symbols,
     proper_subsets,
 )
 from cafreq.rng import SplitMix64
+from cafreq import rules as rules_module
 from cafreq.rules import apply_word, enumerate_rules, random_rule, self_compose, symbols_word
 
 # the package's `correlation` attribute is the function of that name
@@ -190,7 +193,7 @@ class TestHistogram:
             for r in range(7):
                 for A in proper_subsets(q):
                     expected = histogram(LocalRule.identity(q), A, A, r_eff=r).counts
-                    assert correlation_module._identity_counts(q, r, len(A)) == expected
+                    assert correlation_module.identity_counts(q, r, len(A)) == expected
 
     def test_negative_moment_refused(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
@@ -220,6 +223,73 @@ class TestHistogram:
             for rule in surjective_rules(2, r):
                 h = histogram(rule, [1], [0, 1])
                 assert h.total == 2 * 2**r
+
+
+def table_array(q, r, rules):
+    return np.frombuffer(b"".join(rule.table for rule in rules), np.uint8).reshape(
+        len(rules), q ** (r + 1)
+    )
+
+
+# every table of the small spaces, and the surjective q=2 r=3 rules
+HISTOGRAM_SPACES = {
+    "q2-r0": (2, 0, False),
+    "q2-r1": (2, 1, False),
+    "q2-r2": (2, 2, False),
+    "q3-r0": (3, 0, False),
+    "q3-r1": (3, 1, False),
+    "q4-r0": (4, 0, False),
+    "q2-r3-surjective": (2, 3, True),
+}
+
+
+class TestHistograms:
+    @pytest.mark.parametrize("space", HISTOGRAM_SPACES)
+    def test_rows_match_the_one_rule_histogram(self, space, monkeypatch):
+        q, r, surjective = HISTOGRAM_SPACES[space]
+        rules = list(surjective_rules(q, r) if surjective else enumerate_rules(q, r))
+        tables = table_array(q, r, rules)
+        sets = proper_subsets(q)
+        expected = {
+            (A, B): [list(histogram(rule, A, B).counts) for rule in rules]
+            for A in sets
+            for B in sets
+        }
+        # many rows per slice, then a few (4 to 16) with a remainder
+        for cells in (rules_module.PREFILTER_CELLS, 1 << 6):
+            monkeypatch.setattr(rules_module, "PREFILTER_CELLS", cells)
+            for (A, B), want in expected.items():
+                counts = histograms(q, r, tables, A, B)
+                assert counts.dtype == np.int64 and counts.shape == (len(rules), r + 2)
+                assert counts.tolist() == want
+
+    def test_empty_table_array(self):
+        assert histograms(2, 1, np.zeros((0, 4), np.uint8), [1], [1]).shape == (0, 3)
+
+    def test_symbols_refused_as_histogram_refuses(self):
+        tables = table_array(2, 1, [XOR])
+        for A, B in (([2], [1]), ([1], [0, 5])):
+            with pytest.raises(ValueError) as one:
+                histogram(XOR, A, B)
+            with pytest.raises(ValueError) as many:
+                histograms(2, 1, tables, A, B)
+            assert str(many.value) == str(one.value)
+
+    def test_oversize_tables_refused_as_histogram_refuses(self, monkeypatch):
+        rule = self_compose(XOR, 4)  # 2^5 neighborhoods
+        monkeypatch.setattr(correlation_module, "MAX_SCAN_WORDS", 1 << 4)
+        with pytest.raises(ValueError) as one:
+            histogram(rule, [1], [1])
+        with pytest.raises(ValueError) as many:
+            histograms(2, 4, table_array(2, 4, [rule]), [1], [1])
+        assert str(many.value) == str(one.value) == "q^(r_eff+1) = 2^5 exceeds limit 16"
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="q\\^\\(r_eff\\+1\\) = 2\\^25 exceeds limit"):
+            histograms(2, 24, np.zeros((0, 0), np.uint8), [1], [1])  # refused unbuilt
+
+    def test_rows_of_another_width_refused(self):
+        with pytest.raises(ValueError, match="rows of q\\^\\(r\\+1\\) = 4 entries"):
+            histograms(2, 1, table_array(2, 2, [threshold_rule()]), [1], [1])
 
 
 class TestCorrelation:
