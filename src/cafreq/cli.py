@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -20,8 +21,6 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from importlib import import_module
-
-import numpy as np
 
 from . import block_sampler, interval_swap, measures, rules
 from .rng import derive_seed
@@ -105,8 +104,7 @@ def _cmd_rule_surjective(args) -> int:
     if args.file:
         descriptors.extend(_read_descriptors(args.file))
     if not descriptors:
-        print("no rules given", file=sys.stderr)
-        return 2
+        raise ValueError("no rules given")
     parsed = [rules.parse_rule(text) for text in descriptors]
     # every rule is decided, or refused, before the first line is printed
     print("\n".join([f"{rule.format()}\t{rules.is_surjective(rule)}" for rule in parsed]))
@@ -145,21 +143,6 @@ def _cmd_correlate(args) -> int:
 
 SweepRows = Iterator[tuple[bool, tuple]]
 
-#: per-rule sweep checks: name -> (CSV columns after rule,q,r; histograms;
-#: rows_fn), where rows_fn(rule, counts, args) yields (ok, row) and each row
-#: that is not ok counts as a violation.  For a check registered with
-#: histograms=True, `counts` holds the rule's histogram counts at A = B for
-#: each set of `_labelled_subsets(rule.q)`; otherwise it is empty.
-SWEEP_CHECKS: dict[str, tuple[tuple[str, ...], bool, Callable]] = {}
-
-
-def _sweep_check(name: str, *columns: str, histograms: bool = True):
-    def register(rows_fn):
-        SWEEP_CHECKS[name] = (columns, histograms, rows_fn)
-        return rows_fn
-
-    return register
-
 
 @cache
 def _labelled_subsets(q: int) -> tuple[tuple[frozenset[int], str], ...]:
@@ -170,26 +153,19 @@ def _labelled_subsets(q: int) -> tuple[tuple[frozenset[int], str], ...]:
 def _sweep_counts(swept: Sequence[rules.LocalRule]) -> list[tuple[tuple[int, ...], ...]]:
     """Each swept rule's histogram counts at A = B, per proper symbol set.
 
-    The rules are grouped by (q, r), and each group's tables are counted
-    with one `correlation.histograms` call per set.
+    Each run of consecutive rules of one (q, r) is counted with one
+    `correlation.histograms` call per set.
     """
-    spaces: dict[tuple[int, int], list[int]] = {}
-    for i, rule in enumerate(swept):
-        spaces.setdefault((rule.q, rule.r), []).append(i)
-    out: list = [None] * len(swept)
-    for (q, r), members in spaces.items():
-        tables = np.frombuffer(b"".join(swept[i].table for i in members), np.uint8)
-        tables = tables.reshape(len(members), q ** (r + 1))
-        per_set = [
-            list(map(tuple, correlation.histograms(q, r, tables, A, A).tolist()))
+    out = []
+    for (q, r), run in itertools.groupby(swept, lambda rule: (rule.q, rule.r)):
+        tables = rules.table_array(q, r, list(run))
+        out += zip(*[
+            map(tuple, correlation.histograms(q, r, tables, A, A).tolist())
             for A, _ in _labelled_subsets(q)
-        ]
-        for i, counts in zip(members, zip(*per_set)):
-            out[i] = counts
+        ])
     return out
 
 
-@_sweep_check("one_domination", "A", "B", "C_raw", "C_identity", "margin", "holds")
 def _one_domination_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
     for (A, label), n in zip(_labelled_subsets(rule.q), counts):
         c1 = sum(k * count for k, count in enumerate(n))  # the order-1 moment
@@ -198,48 +174,45 @@ def _one_domination_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
         yield holds, (label, label, c1, ident, ident - c1, holds)
 
 
-@_sweep_check("high_domination", "A", "k0", "strict_at_k0", "m_star")
 def _high_domination_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
     for (A, label), n in zip(_labelled_subsets(rule.q), counts):
         id_counts = correlation.identity_counts(rule.q, rule.r, len(A))
         rep = correlation.high_domination(n, id_counts, args.m_max)
-        yield rep.m_star is not None, (
-            label,
-            rep.k0 if rep.k0 is not None else "",
-            rep.strict_at_k0 if rep.strict_at_k0 is not None else "",
-            rep.m_star if rep.m_star is not None else "",
-        )
+        yield rep.m_star is not None, (label, *rep)
 
 
-@_sweep_check("prefix_sums", "holds", "witness_n", histograms=False)
 def _prefix_sums_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
     rep = correlation.check_prefix_sum_conjecture(rule)
-    yield rep.holds, (rep.holds, rep.witness_n if rep.witness_n is not None else "")
+    yield rep.holds, (rep.holds, rep.witness_n)
 
 
-@_sweep_check(
-    "conservation",
-    "A",
-    "conserves_by_histogram",
-    "conserves_by_periodic_search",
-    "agree",
-    "witness_config",
-    "witness_image",
-)
 def _conservation_rows(rule: rules.LocalRule, counts, args) -> SweepRows:
     for (A, label), n in zip(_labelled_subsets(rule.q), counts):
         by_histogram = n == correlation.identity_counts(rule.q, rule.r, len(A))
         witness = correlation.conserves_symbols(rule, A, args.max_period).witness
         agree = by_histogram == (witness is None)
-        yield agree, (
-            label,
-            by_histogram,
-            witness is None,
-            agree,
-            witness[0] if witness else "",
-            witness[1] if witness else "",
-        )
+        yield agree, (label, by_histogram, witness is None, agree, *(witness or (None, None)))
 
+
+#: per-rule sweep checks: name -> (CSV columns after rule,q,r; reads_counts;
+#: rows_fn), where rows_fn(rule, counts, args) yields (ok, row) and each row
+#: that is not ok counts as a violation.  For a check that reads counts,
+#: `counts` holds the rule's histogram counts at A = B for each set of
+#: `_labelled_subsets(rule.q)`; otherwise it is empty.  A None field is
+#: written empty.
+SWEEP_CHECKS: dict[str, tuple[tuple[str, ...], bool, Callable]] = {
+    "one_domination": (
+        ("A", "B", "C_raw", "C_identity", "margin", "holds"), True, _one_domination_rows
+    ),
+    "high_domination": (("A", "k0", "strict_at_k0", "m_star"), True, _high_domination_rows),
+    "prefix_sums": (("holds", "witness_n"), False, _prefix_sums_rows),
+    "conservation": (
+        ("A", "conserves_by_histogram", "conserves_by_periodic_search", "agree",
+         "witness_config", "witness_image"),
+        True,
+        _conservation_rows,
+    ),
+}
 
 CHECKS = (*SWEEP_CHECKS, "averages")
 
@@ -273,11 +246,15 @@ def _cmd_sweep(args) -> int:
             rules.check_rule_space(args.q, r, args.limit)
         if args.check == "conservation":
             correlation.check_max_period(args.q, args.max_period)
+        if args.check == "prefix_sums":
+            correlation.check_prefix_sum_alphabet(args.q)
     if args.check == "averages":
         return _sweep_averages(args)
-    columns, histograms, rows_fn = SWEEP_CHECKS[args.check]
+    columns, reads_counts, rows_fn = SWEEP_CHECKS[args.check]
     if args.rules_file:
         swept = [rules.parse_rule(text) for text in _read_descriptors(args.rules_file)]
+        if not swept:
+            raise ValueError(f"no rules in --rules-file {args.rules_file}")
         kind = "rules from file"
     else:
         swept = [
@@ -286,7 +263,7 @@ def _cmd_sweep(args) -> int:
             for rule in rules.surjective_rules(args.q, r, args.limit, args.jobs)
         ]
         kind = "surjective rules"
-    counts = _sweep_counts(swept) if histograms else [()] * len(swept)
+    counts = _sweep_counts(swept) if reads_counts else [()] * len(swept)
     violations = 0
     rows = []
     for rule, rule_counts in zip(swept, counts):

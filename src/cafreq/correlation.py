@@ -390,14 +390,19 @@ class PrefixSumReport(NamedTuple):
     surjective: bool
 
 
+def check_prefix_sum_alphabet(q: int) -> None:
+    """Refuse an alphabet other than the binary one, before any prefix-sum check."""
+    if q != 2:
+        raise ValueError("prefix-sum check is defined for binary rules")
+
+
 def check_prefix_sum_conjecture(rule: LocalRule) -> PrefixSumReport:
     """Prefix-sum domination for binary rules with A = B = {1}.
 
     Checks sum_{k<=n} N_rule(k) >= sum_{k<=n} N_id(k) for every n up to
     r + 1, reporting the first failing n otherwise.
     """
-    if rule.q != 2:
-        raise ValueError("prefix-sum check is defined for binary rules")
+    check_prefix_sum_alphabet(rule.q)
     h_rule = histogram(rule, [1], [1])
     id_counts = identity_counts(2, rule.r, 1)
     acc_rule = 0

@@ -379,22 +379,6 @@ def rule_count(q: int, r: int) -> int:
     return q ** (q ** (r + 1))
 
 
-def rule_from_index(q: int, r: int, index: int) -> LocalRule:
-    """The index-th rule in lexicographic table order."""
-    entries = q ** (r + 1)
-    if not 0 <= index < rule_count(q, r):
-        raise ValueError(f"rule index {index} out of range")
-    table = [0] * entries
-    for pos in range(entries - 1, -1, -1):
-        index, table[pos] = divmod(index, q)
-    return LocalRule(q, r, table)
-
-
-def rule_index(rule: LocalRule) -> int:
-    """Position in lexicographic table order: the digits in base q, under int()'s digit limit."""
-    return int(rule.table.translate(_TO_DIGITS), rule.q)
-
-
 def enumerate_rules(
     q: int, r: int, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> Iterator[LocalRule]:
@@ -534,6 +518,12 @@ def surjective_rules(
         parts = map_ranges(_surjective_in_range, count // q ** _block_digits(q, r), jobs, q, r)
         _SURJECTIVE_RULES[q, r] = tuple(rule for part in parts for rule in part)
     return _SURJECTIVE_RULES[q, r]
+
+
+def table_array(q: int, r: int, rules: Sequence[LocalRule]) -> np.ndarray:
+    """The radius-r rule tables as one read-only (N, q^(r+1)) uint8 array, a row per rule."""
+    joined = b"".join(rule.table for rule in rules)
+    return np.frombuffer(joined, np.uint8).reshape(len(rules), q ** (r + 1))
 
 
 def random_rule(q: int, r: int, rng: SplitMix64) -> LocalRule:

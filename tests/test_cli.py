@@ -350,6 +350,55 @@ class TestSweep:
         assert calls["histogram"] == 38 * per_rule
         assert calls["check_high_domination"] == 0
 
+    @pytest.mark.parametrize(
+        "check, calls",
+        [("one_domination", 6), ("high_domination", 6), ("conservation", 6), ("prefix_sums", 0)],
+    )
+    def test_enumerated_sweep_counts_one_array_per_radius_and_set(
+        self, check, calls, capsys, monkeypatch
+    ):
+        original = cli.correlation.histograms
+        spaces = []
+
+        def counted(q, r, *args):
+            spaces.append((q, r))
+            return original(q, r, *args)
+
+        monkeypatch.setattr(cli.correlation, "histograms", counted)
+        assert main(["sweep", "--q", "2", "--r", "2", "--check", check]) == 0
+        # each radius is one run of rules; q=2 has the two proper sets {0} and {1}
+        assert spaces == [(2, r) for r in range(3) for _ in range(2)][:calls]
+
+    @pytest.mark.parametrize("check", cli.SWEEP_CHECKS)
+    def test_rows_have_one_field_per_column(self, check, capsys, tmp_path):
+        # a record that gained a field would widen its rows past the header
+        columns = cli.SWEEP_CHECKS[check][0]
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--q", "2", "--r", "1", "--check", check, "--out", str(out_path)]
+        assert main(argv) == 0
+        with open(out_path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["rule", "q", "r", *columns]
+        assert rows and all(len(row) == 3 + len(columns) for row in rows)
+
+    @pytest.mark.parametrize("check", cli.SWEEP_CHECKS)
+    def test_empty_rules_file_refused_before_output(self, check, capsys, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("# only comments and blank lines\n\n  \n\t# note\n")
+        out_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--r", "0", "--check", check, "--rules-file", str(path),
+                "--out", str(out_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no rules in --rules-file {path}\n"
+        assert captured.out == ""
+        assert not out_path.exists()
+        # `rule surjective` refuses the same file in the same form
+        assert main(["rule", "surjective", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no rules given\n"
+        assert captured.out == ""
+
     def test_default_max_period_refuses_only_conservation(self, capsys):
         # 5^12 periodic configurations exceed the scan limit; no other check scans
         for check in ("one_domination", "high_domination"):
@@ -916,8 +965,11 @@ def test_pushforward_trajectory_refused_before_output(argv, message, capsys, tmp
          "correlation order 100000 exceeds limit 512"),
         (["--q", "2", "--r", "3", "--check", "conservation", "--max-period", "25"],
          "q^max_period = 2^25 exceeds limit 16777216"),
+        (["--q", "3", "--r", "1", "--check", "prefix_sums"],
+         "prefix-sum check is defined for binary rules"),
     ],
-    ids=["index-space", "limit", "q1", "q0", "q37", "averages", "m-max", "max-period"],
+    ids=["index-space", "limit", "q1", "q0", "q37", "averages", "m-max", "max-period",
+         "prefix-sums-q3"],
 )
 def test_sweep_rule_space_refused_before_enumeration(argv, message, capsys, tmp_path, monkeypatch):
     def no_enumeration(*args):

@@ -36,7 +36,14 @@ from cafreq.correlation import (
 )
 from cafreq.rng import SplitMix64
 from cafreq import rules as rules_module
-from cafreq.rules import apply_word, enumerate_rules, random_rule, self_compose, symbols_word
+from cafreq.rules import (
+    apply_word,
+    enumerate_rules,
+    random_rule,
+    self_compose,
+    symbols_word,
+    table_array,
+)
 
 # the package's `correlation` attribute is the function of that name
 correlation_module = import_module("cafreq.correlation")
@@ -223,12 +230,6 @@ class TestHistogram:
             for rule in surjective_rules(2, r):
                 h = histogram(rule, [1], [0, 1])
                 assert h.total == 2 * 2**r
-
-
-def table_array(q, r, rules):
-    return np.frombuffer(b"".join(rule.table for rule in rules), np.uint8).reshape(
-        len(rules), q ** (r + 1)
-    )
 
 
 # every table of the small spaces, and the surjective q=2 r=3 rules
