@@ -21,11 +21,11 @@ and below itself is a run of leaf draws: the top bits of one slice of the
 stream from the first cell asked for to the last, or stepped over unread
 when none is.  A block asks its first child for the OR of every child's
 slice of the mask, because the copy coin comes after that child; a copy
-then fills each child asked for with `first` or its negation.  A coin
-whose denominator fits one word compares each draw with its precomputed
-rejection limit inline, as `rng.Uniform` does; a wider one reads its words
-through `rng.Coin`.  `BlockSampler.draw` asks only for the cells that its
-XOR output reads, so the whole-block walk of coins is what a sample costs.
+then fills each child asked for with `first` or its negation.  Every coin
+is an `rng.Coin`.  `_flip` reads any coin by index; `_skip`, which reads
+most coins, compares a one-word coin's draws with its rejection limit
+inline.  `BlockSampler.draw` asks only for the cells that its XOR output
+reads, so the whole-block walk of coins is what a sample costs.
 
 The two-neighbor XOR map iterated 2^k times reduces to a single lag-2^k
 cellwise XOR; xor_power implements that shortcut and xor_iterate composes
@@ -75,21 +75,6 @@ def default_copy_probs(levels: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, n + 1) for n in range(levels))
 
 
-#: a coin of the plan: p in {0, 1} as a bool (no draw), a denominator of at
-#: most 2^64 as Uniform's (limit, n) and p's numerator, otherwise an rng.Coin
-_CoinPlan = Union[bool, tuple[int, int, int], Coin]
-
-
-def _coin_plan(p: Fraction) -> _CoinPlan:
-    coin = Coin(p)
-    uniform = coin.uniform
-    if uniform is None:
-        return coin.num > 0
-    if uniform.words == 1:
-        return (uniform.limit, uniform.n, coin.num)
-    return coin
-
-
 #: every sample walks the coins of a whole top block, 2^21 cells at 6 levels
 #: (2^28 at 7), and may build all of it
 MAX_LEVELS = 6
@@ -113,8 +98,8 @@ class _Level:
     child_mask: int  # child_len ones: negates a child
     run: bool  # level 0, or copy probability 0 at levels 1..n: `length` leaf draws
     child_run: bool  # level n-1 is a run
-    copy: _CoinPlan
-    alpha: _CoinPlan
+    copy: Coin
+    alpha: Coin
 
 
 @dataclass(frozen=True)
@@ -150,9 +135,9 @@ class BlockMeasureParams:
     @cached_property
     def _plan(self) -> tuple[_Level, ...]:
         check_levels(self.levels)
-        alpha = _coin_plan(self.alpha)
-        # level 0 is a single leaf draw: a run without children
-        plan = [_Level(1, 0, 0, run=True, child_run=False, copy=False, alpha=alpha)]
+        alpha = Coin(self.alpha)
+        # level 0 is a single leaf draw: a run without children, its coin never read
+        plan = [_Level(1, 0, 0, run=True, child_run=False, copy=Coin(Fraction(0)), alpha=alpha)]
         run = True
         for n in range(1, self.levels + 1):
             child_len, child_run = block_length(n - 1), run
@@ -164,47 +149,38 @@ class BlockMeasureParams:
                     child_mask=(1 << child_len) - 1,
                     run=run,
                     child_run=child_run,
-                    copy=_coin_plan(self.copy_probs[n - 1]),
+                    copy=Coin(self.copy_probs[n - 1]),
                     alpha=alpha,
                 )
             )
         return tuple(plan)
 
 
-def _flip(coin: _CoinPlan, source: ChunkedDraws, i: int) -> tuple[bool, int]:
-    """A coin of the plan read from draw i on: its outcome and the next index.
+def _flip(coin: Coin, source: ChunkedDraws, i: int) -> tuple[bool, int]:
+    """`coin.flip` read from draw i on: its outcome and the next index.
 
-    A one-word coin is `Uniform.draw` written out; p in {0, 1} draws nothing;
-    a denominator past 2^64 reads each candidate's words through `Coin.flip`.
+    A candidate is `coin.words` draws, the first most significant, accepted
+    below `coin.limit`, as in `Uniform.draw`; p in {0, 1} draws nothing.
     """
-    words = source.words  # extended in place
-    if coin.__class__ is tuple:
-        limit, n, num = coin
-        while True:
-            while i >= len(words):
-                source.extend()
-            r = words[i]
-            i += 1
-            if r < limit:  # a draw at or past limit is skipped
-                return r % n < num, i
-    if coin.__class__ is bool:
-        return coin, i
-
-    def next64() -> int:
-        nonlocal i
-        while i >= len(words):
+    k, words = coin.words, source.words  # words is extended in place
+    if not k:
+        return coin.num > 0, i
+    while True:
+        while i + k > len(words):
             source.extend()
-        i += 1
-        return words[i - 1]
-
-    return coin.flip(next64), i
+        r = 0
+        for word in words[i : i + k]:
+            r = r << 64 | word
+        i += k
+        if r < coin.limit:
+            return r % coin.n < coin.num, i
 
 
 def _skip(plan: tuple, level: int, source: ChunkedDraws, i: int) -> int:
     """Walk the coins of one level block from draw i on: the next index.
 
-    Nothing is built, and leaf runs are stepped over unread.  The one-word
-    coins of `_flip` are written out here, where most coins are read.
+    Nothing is built, and leaf runs are stepped over unread.  `_flip` is
+    written out here for one-word coins, which are most of the coins read.
     """
     step = plan[level]
     if step.run:
@@ -212,8 +188,8 @@ def _skip(plan: tuple, level: int, source: ChunkedDraws, i: int) -> int:
     i = i + step.child_len if step.child_run else _skip(plan, level - 1, source, i)
     words = source.words
     coin = step.copy
-    if coin.__class__ is tuple:
-        limit, n, num = coin
+    if coin.words == 1:
+        limit = coin.limit
         while True:
             while i >= len(words):
                 source.extend()
@@ -221,13 +197,13 @@ def _skip(plan: tuple, level: int, source: ChunkedDraws, i: int) -> int:
             i += 1
             if r < limit:
                 break
-        copied = r % n < num
+        copied = r % coin.n < coin.num
     else:
         copied, i = _flip(coin, source, i)
     if copied:
         coin = step.alpha
-        if coin.__class__ is tuple:
-            limit = coin[0]
+        if coin.words == 1:
+            limit = coin.limit
             while True:
                 while i >= len(words):
                     source.extend()

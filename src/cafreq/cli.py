@@ -13,7 +13,6 @@ import argparse
 import csv
 import itertools
 import math
-import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -28,13 +27,6 @@ from .rng import derive_seed
 # the package re-exports a function named `correlation`, shadowing the
 # submodule attribute; fetch the module itself
 correlation = import_module("cafreq.correlation")
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("CAFREQ_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _frac(text: str) -> Fraction:
@@ -475,7 +467,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
         p.add_argument("--m-max", type=int, default=16)
         p.add_argument("--max-period", type=int, default=12)
         p.add_argument("--limit", type=int, default=rules.DEFAULT_ENUMERATION_LIMIT)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument(
             "--rules-file",
             help="sweep these descriptors (one per line) instead of enumerating",
@@ -512,7 +504,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
             p.add_argument("--windows", type=int, default=1000)
             p.add_argument("--window-length", type=int, default=None)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--jobs", type=int, default=_default_jobs())
+            p.add_argument("--jobs", type=int, default=1)
             p.add_argument("--out", help="CSV output path")
 
     if p := add(sub, "xor-limit", "hierarchical measure under iterated XOR", _cmd_xor_limit):
@@ -522,7 +514,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--word", default="1")
         p.add_argument("--n-values", help="comma-separated levels, default 1..levels-1")
-        p.add_argument("--jobs", type=int, default=_default_jobs())
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", help="CSV output path")
 
     return parser

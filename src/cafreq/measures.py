@@ -262,15 +262,12 @@ def make_measure(spec: str, q: Optional[int] = None) -> CylinderMeasure:
 
 #: the pushforward refusal: a length-e preimage word has q^e candidates
 _PREIMAGES = "preimage enumeration q^{e} = {size}"
+#: the contraction and invariance refusal: the image's cylinder vector
+_VECTOR = "cylinder vector of q^{e} = {size}"
 
 
 def _check_vector(limit: Optional[int], what: str, q: int, exponent: int) -> None:
-    """Refuse a cylinder vector of q^exponent cells over `limit` before it is built.
-
-    By default: over DEFAULT_PUSHFORWARD_LIMIT, as a pushforward, then over MAX_VECTOR_CELLS.
-    """
-    if limit is None:
-        check_size(DEFAULT_PUSHFORWARD_LIMIT, what, q, exponent)
+    """Refuse q^exponent cells over `limit`, by default MAX_VECTOR_CELLS, before they are built."""
     check_size(MAX_VECTOR_CELLS if limit is None else limit, what, q, exponent)
 
 
@@ -400,7 +397,7 @@ def check_uniform_contraction(
     """
     if n < 1:
         raise ValueError("cylinder length must be >= 1")
-    _check_vector(limit, _PREIMAGES, rule.q, n + rule.r)
+    _check_vector(limit, _VECTOR, rule.q, n + rule.r)
     _check_alphabets(rule, mu)
     v, denominator = mu.vector(n + rule.r)
     lhs, witness_u = _farthest(_push(rule, v, denominator), denominator, rule.q, n)
@@ -424,7 +421,7 @@ def check_measure_invariance(
         raise ValueError("invariance depth must be >= 1")
     _check_alphabets(rule, mu)
     for length in range(1, depth + 1):
-        _check_vector(limit, _PREIMAGES, rule.q, length + rule.r)
+        _check_vector(limit, _VECTOR, rule.q, length + rule.r)
         v, denominator = mu.vector(length + rule.r)
         base, base_denominator = mu.vector(length)
         # each side is at most D·D', an entry at most its own denominator

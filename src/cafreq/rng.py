@@ -105,23 +105,26 @@ class Uniform:
                 return r % self.n
 
 
-class Coin:
+class Coin(Uniform):
     """An exact Bernoulli(p) event for rational p, in integers only.
 
-    The event is `Uniform(den).draw(...) < num`, so `flip` compares
-    integers and touches no `Fraction`; p <= 0 and p >= 1 draw nothing.
+    The event is a `Uniform(den)` draw below `num`, so `flip` compares
+    integers and touches no `Fraction`.  p <= 0 and p >= 1 set `words` to
+    0 and draw nothing.
     """
 
-    __slots__ = ("num", "uniform")
+    __slots__ = ("num",)
 
     def __init__(self, p: Fraction):
+        super().__init__(p.denominator)
         self.num = p.numerator
-        self.uniform = Uniform(p.denominator) if 0 < p.numerator < p.denominator else None
+        if not 0 < p.numerator < p.denominator:
+            self.words = 0
 
     def flip(self, next64: Callable[[], int]) -> bool:
-        if self.uniform is None:  # p <= 0 or p >= 1
+        if not self.words:  # p <= 0 or p >= 1
             return self.num > 0
-        return self.uniform.draw(next64) < self.num
+        return self.draw(next64) < self.num
 
 
 def map_ranges(fn: Callable, count: int, jobs: int, *args) -> list:

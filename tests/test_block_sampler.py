@@ -17,6 +17,7 @@ from cafreq.block_sampler import (
     xor_iterate,
     xor_power,
 )
+from cafreq.cli import main
 from cafreq.rng import ChunkedDraws, SplitMix64, Uniform
 from cafreq.rules import iterate_word, parse_rule
 
@@ -353,6 +354,32 @@ def random_cells(rng, length):
     return cell_mask(length, cells or [(0, length)])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda out: BlockMeasureParams(0), "need at least one level"),
+        (lambda out: BlockMeasureParams(2, copy_probs=(0, Fraction(3, 2))),
+         "copy probabilities must lie in [0, 1]"),
+        (lambda out: xor_power("0110", -1), "power must be >= 0"),
+        (lambda out: estimate_cylinder(BlockSampler(BlockMeasureParams(2)), "1", 0, seed=3),
+         "need at least one sample"),
+        (lambda out: main(["xor-limit", "--samples", "0", "--out", out]),
+         "error: need at least one sample"),
+    ],
+    ids=["no-levels", "copy-prob", "negative-power", "no-samples", "cli-no-samples"],
+)
+def test_refused_before_any_sample(call, message, capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    try:
+        assert call(str(out_path)) == 2  # the command line prints its refusal
+        error = capsys.readouterr().err
+    except ValueError as exc:
+        error = str(exc)
+    assert message in error
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+
+
 class TestAgainstScalarOracle:
     @staticmethod
     def check_block(params, seed, i, want=None):
@@ -407,7 +434,7 @@ class TestAgainstScalarOracle:
 
     @pytest.mark.parametrize("levels, i", [(3, 200), (5, 5)])
     def test_wide_alpha_across_a_chunk_boundary(self, levels, i, monkeypatch):
-        # alpha 1/(2^64+1) reads two words per candidate through rng.Coin
+        # alpha 1/(2^64+1) reads two words per candidate through _flip
         straddles = []
         flip = block_sampler._flip
 
@@ -441,7 +468,8 @@ class TestAgainstScalarOracle:
             params = BlockMeasureParams(1, copy_probs=(p,))
         else:  # always copy: heads plainly, tails alternating
             params = BlockMeasureParams(1, alpha=p, copy_probs=(Fraction(1),))
-        assert getattr(params._plan[1], coin) == (2**64 - 1, 3, 2)
+        read = getattr(params._plan[1], coin)
+        assert (read.limit, read.n, read.num, read.words) == (2**64 - 1, 3, 2, 1)
         words = [1 << 63, 2**64 - 1, x, 0]  # leaf 1, the rejected draw, x, leaf 0
         source = ChunkedDraws(SplitMix64(0))
         source.words = list(words)

@@ -495,7 +495,7 @@ class TestMeasureCommands:
         assert main(argv) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
-        assert "preimage enumeration q^24 = 16777216 exceeds limit 8388608" in captured.err
+        assert "cylinder vector of q^24 = 16777216 exceeds limit 8388608" in captured.err
         assert captured.out == ""
         assert not out_path.exists()
 
@@ -580,6 +580,27 @@ class TestConstructionCommands:
     def test_fn_check_invalid(self, capsys):
         assert main(["fn", "check", "--n", "2", "--p", "1/5"]) == 1
         assert "valid: False" in capsys.readouterr().out
+
+    def test_fn_check_weight_bound_fails(self, capsys):
+        # p = 1/2: 3*l*p/2 >= 2*(l//4) from free length 1 on; the report stops at three
+        assert main(["fn", "check", "--n", "1", "--p", "1/2"]) == 1
+        out = capsys.readouterr().out
+        reasons = [line for line in out.splitlines() if line.startswith("  - ")]
+        assert [r.split(":")[0] for r in reasons] == [
+            f"  - weight bound fails at free length {l}" for l in (1, 2, 3)
+        ]
+        assert reasons[0].endswith(": 3*l*p/2 = 3/4 >= 0")
+
+    def test_fn_apply_refuses_invalid_parameters(self, capsys, tmp_path):
+        out_path = tmp_path / "out.csv"
+        argv = ["fn", "apply", "--n", "1", "--p", "1/2", "--windows", "2", "--jobs", "1"]
+        assert main([*argv, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: invalid swap parameters: weight bound fails at free length 1"
+        )
+        assert captured.out == ""
+        assert not out_path.exists()
 
     def test_fn_check_vacuous(self, capsys):
         assert main(["fn", "check", "--n", "1", "--p", "1/50"]) == 0
@@ -681,13 +702,6 @@ class TestConstructionCommands:
         )
         assert code == 0
         assert "2 rules from file" in capsys.readouterr().out
-
-    def test_jobs_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("CAFREQ_JOBS", "3")
-        args = build_parser().parse_args(
-            ["xor-limit", "--levels", "2", "--samples", "1"]
-        )
-        assert args.jobs == 3
 
     def test_domination_violation_exits_1(self, capsys, tmp_path):
         # a rules file with a non-surjective rule makes the domination sweep
@@ -1035,7 +1049,7 @@ def test_spawned_workers_match_serial_run(tmp_path):
         (["measure", "pushforward", "2 1 0110", "--measure", "uniform", "--word", "0" * 20000],
          "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
         (["measure", "contraction", "2 1 0110", "--measure", "uniform", "--n", "20000"],
-         "preimage enumeration q^20001 = 2^20001 exceeds limit 67108864"),
+         "cylinder vector of q^20001 = 2^20001 exceeds limit 8388608"),
         # (cap + 1)(length + 1) cells: cap + 1 columns of every length
         (["fn", "check", "--n", "5000", "--p", "1/2"],
          "swap count table of 2^20026+ cells exceeds limit 1677721"),

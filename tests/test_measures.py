@@ -584,7 +584,7 @@ class TestVectorBound:
 
     def test_default_refuses_before_building(self, unbuilt):
         assert measures.MAX_VECTOR_CELLS == 1 << 23
-        message = r"preimage enumeration q\^24 = 16777216 exceeds limit 8388608"
+        message = r"cylinder vector of q\^24 = 16777216 exceeds limit 8388608"
         with pytest.raises(ValueError, match=message):
             check_uniform_contraction(self.RULE, self.MU, 22)
         with pytest.raises(ValueError, match=r"q\^n = 16777216 exceeds limit 8388608"):
@@ -607,7 +607,7 @@ class TestVectorBound:
 
 class TestBlockEntropy:
     def test_long_block_refused_without_the_power(self):
-        with pytest.raises(ValueError, match=r"q\^n = 2\^20000 exceeds limit 67108864"):
+        with pytest.raises(ValueError, match=r"q\^n = 2\^20000 exceeds limit 8388608"):
             block_entropy(UNIFORM2, 20000)
 
     def test_uniform(self):
